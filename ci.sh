@@ -149,11 +149,11 @@ else
     || { echo "ci: trace export malformed"; exit 1; }
 fi
 
-echo "== cargo build (telemetry compiled out)"
-cargo build -q --offline --no-default-features --features telemetry-off
+echo "== cargo build (telemetry and the flight recorder compiled out)"
+cargo build -q --offline --features telemetry-off
 
-echo "== cargo build (recorder compiled out)"
-cargo build -q --offline --no-default-features --features recorder-off
+echo "== mcsbench tests (the benchmark still builds against the mcs-obs API)"
+cargo test -q --offline --manifest-path mcsbench/Cargo.toml
 
 # Refreshes BENCH_partition.json and gates on the two identity invariants
 # the batch kernel must never break: reference-vs-engine partitions

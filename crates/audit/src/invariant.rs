@@ -44,12 +44,6 @@ pub struct AuditContext<'a> {
     /// Closure re-running the scheme on the same inputs, if the caller can
     /// provide one; enables the `harness-determinism` rule.
     pub repartition: Option<&'a Repartition<'a>>,
-    /// A quiescent telemetry counter observation, if the caller captured
-    /// one; enables the `telemetry-consistency` rule.
-    pub telemetry: Option<&'a rules::telemetry::TelemetryCounters>,
-    /// A quiescent flight-recorder stream observation, if the caller
-    /// captured one; enables the `trace-consistency` rule.
-    pub trace: Option<&'a rules::trace::TraceCounts>,
 }
 
 impl<'a> AuditContext<'a> {
@@ -65,8 +59,6 @@ impl<'a> AuditContext<'a> {
             ordering: None,
             alpha: None,
             repartition: None,
-            telemetry: None,
-            trace: None,
         }
     }
 
@@ -96,22 +88,6 @@ impl<'a> AuditContext<'a> {
     #[must_use]
     pub fn with_repartition(mut self, repartition: &'a Repartition<'a>) -> Self {
         self.repartition = Some(repartition);
-        self
-    }
-
-    /// Attach a quiescent telemetry counter observation, enabling the
-    /// `telemetry-consistency` rule.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: &'a rules::telemetry::TelemetryCounters) -> Self {
-        self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// Attach a quiescent flight-recorder stream observation, enabling
-    /// the `trace-consistency` rule.
-    #[must_use]
-    pub fn with_trace(mut self, trace: &'a rules::trace::TraceCounts) -> Self {
-        self.trace = Some(trace);
         self
     }
 }
@@ -156,9 +132,7 @@ impl Registry {
         r.push(Box::new(rules::ordering::ContributionOrderRule));
         r.push(Box::new(rules::ordering::AlphaDomain));
         r.push(Box::new(rules::harness::HarnessDeterminism));
-        r.push(Box::new(rules::telemetry::TelemetryConsistency));
         r.push(Box::new(rules::sim_event::SimEventConsistency));
-        r.push(Box::new(rules::trace::TraceConsistency));
         r
     }
 
@@ -193,10 +167,12 @@ mod tests {
     fn standard_registry_has_unique_ids() {
         let r = Registry::standard();
         let ids: Vec<&str> = r.rules().map(Invariant::id).collect();
-        assert!(ids.len() >= 10, "expected at least ten standard rules, got {ids:?}");
+        assert_eq!(ids.len(), 11, "expected eleven standard rules, got {ids:?}");
         assert!(ids.contains(&"harness-determinism"), "missing harness rule in {ids:?}");
         assert!(ids.contains(&"batch-kernel-consistency"), "missing batch rule in {ids:?}");
-        assert!(ids.contains(&"telemetry-consistency"), "missing telemetry rule in {ids:?}");
+        // The two quiescent-window checks are functions, not rules.
+        assert!(!ids.contains(&crate::TELEMETRY_ID), "{ids:?}");
+        assert!(!ids.contains(&crate::TRACE_ID), "{ids:?}");
         let mut dedup = ids.clone();
         dedup.sort_unstable();
         dedup.dedup();

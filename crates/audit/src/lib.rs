@@ -19,8 +19,11 @@
 //!   bit equality, batch-kernel lane agreement, admission-lifecycle state
 //!   reconstruction (`admission-state-consistency`), contribution-order
 //!   and α-domain checks, re-run placement determinism
-//!   (`harness-determinism`), and telemetry counter algebra
-//!   (`telemetry-consistency`);
+//!   (`harness-determinism`), and the tick-vs-event simulator differential
+//!   (`sim-event-consistency`); plus two quiescent-window checks run once
+//!   per sweep rather than per partition — the telemetry counter algebra
+//!   ([`check_counters`]) and the flight-recorder stream algebra
+//!   ([`check_trace_counts`]);
 //! * [`diagnostic`] — severities, subjects, and text/JSON rendering.
 //!
 //! The crate deliberately depends only on `mcs-model` and `mcs-analysis`:

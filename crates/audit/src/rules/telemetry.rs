@@ -10,17 +10,16 @@
 //! A broken relation means an instrumentation point was dropped, doubled,
 //! or moved — exactly the silent drift this audit layer exists to catch.
 //!
-//! The rule is claim-gated like the ordering rules: it only runs when the
-//! caller attaches a [`TelemetryCounters`] observation to the context
-//! (counters must be read at a quiescent point — all workers joined —
-//! which only the caller can know). `mcs-exp audit` snapshots the global
-//! registry around its sweep and feeds the delta in; this crate itself
-//! stays free of the `mcs-obs` dependency, receiving plain integers.
+//! Counters must be read at a quiescent point — all workers joined —
+//! which only the caller can know, so the check is a function over a
+//! caller-supplied [`TelemetryCounters`] observation rather than a
+//! per-partition rule. `mcs-exp audit` snapshots the global registry
+//! around its sweep and feeds the delta in; this crate itself stays free
+//! of the `mcs-obs` dependency, receiving plain integers.
 
 use crate::diagnostic::{Diagnostic, Subject};
-use crate::invariant::{AuditContext, Invariant};
 
-/// Rule id of [`TelemetryConsistency`].
+/// Rule id of the [`check_counters`] findings.
 pub const TELEMETRY_ID: &str = "telemetry-consistency";
 
 /// A quiescent reading of the telemetry counters relevant to the algebra,
@@ -53,9 +52,7 @@ pub struct TelemetryCounters {
     pub expected_trials: Option<u64>,
 }
 
-/// Check the counter algebra directly (the rule delegates here; callers
-/// holding a [`TelemetryCounters`] without a partition context — e.g. the
-/// audit command's final quiescent pass — can too).
+/// Check the counter algebra over one quiescent observation.
 #[must_use]
 pub fn check_counters(t: &TelemetryCounters) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -96,30 +93,9 @@ pub fn check_counters(t: &TelemetryCounters) -> Vec<Diagnostic> {
     out
 }
 
-/// The `telemetry-consistency` rule. No-op unless the context carries a
-/// [`TelemetryCounters`] observation.
-pub struct TelemetryConsistency;
-
-impl Invariant for TelemetryConsistency {
-    fn id(&self) -> &'static str {
-        TELEMETRY_ID
-    }
-
-    fn description(&self) -> &'static str {
-        "telemetry counter algebra: probe decisions cover issuance, placements are backed by \
-         feasible probes, worker trial counts sum to the harness total"
-    }
-
-    fn check(&self, ctx: &AuditContext<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(telemetry) = ctx.telemetry else { return };
-        out.extend(check_counters(telemetry));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcs_model::{CoreId, Partition, TaskBuilder, TaskId, TaskSet};
 
     fn consistent() -> TelemetryCounters {
         TelemetryCounters {
@@ -166,23 +142,5 @@ mod tests {
         t.expected_trials = None;
         t.trials_resumed = 999; // would fail the expected check if it ran
         assert!(check_counters(&t).is_empty());
-    }
-
-    #[test]
-    fn rule_is_inert_without_an_observation() {
-        let task = TaskBuilder::new(TaskId(0)).period(10).level(1).wcet(&[1]).build().unwrap();
-        let ts = TaskSet::new(1, vec![task]).unwrap();
-        let mut p = Partition::empty(1, 1);
-        p.assign(TaskId(0), CoreId(0));
-        let ctx = AuditContext::new(&ts, &p, "X");
-        let mut out = Vec::new();
-        TelemetryConsistency.check(&ctx, &mut out);
-        assert!(out.is_empty());
-
-        let mut bad = consistent();
-        bad.probes_issued += 1;
-        let ctx = ctx.with_telemetry(&bad);
-        TelemetryConsistency.check(&ctx, &mut out);
-        assert_eq!(out.len(), 1);
     }
 }

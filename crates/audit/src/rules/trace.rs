@@ -1,62 +1,39 @@
-//! `trace-consistency` — flight-recorder event counts against the counter
-//! registry at a quiescent point.
+//! `trace-consistency` — the flight-recorder stream algebra at a quiescent
+//! point.
 //!
-//! Every flight-recorder event site sits adjacent to a PR-4 counter bump
-//! (admission decisions, the six simulator events, harness trials,
-//! checkpoint flushes), so at quiescence — all workers joined, every ring
-//! drained — the per-kind event counts of the merged stream must equal
-//! the corresponding counter deltas *exactly*, and the recorder's span
-//! pairs must balance. A mismatch means an event site drifted away from
-//! its counter (or a drain was skipped), which is precisely the silent
-//! divergence that would invalidate any causal analysis built on the
-//! stream.
+//! A counted event that is also recorded is emitted by one `mcs_obs::event!`
+//! call, so its counter and its recorded kind agree by construction. What
+//! is left to check is what no single call site guarantees: the recorder's
+//! `B`/`E` span pairs (repair probe sweeps, harness trials) must balance,
+//! and the two harness kinds recorded apart from their counters must match
+//! them — one `trial_begin` per computed trial, one `checkpoint_write` per
+//! flushed checkpoint line. A mismatch means a drain was skipped or a
+//! recording site drifted from the work it describes.
 //!
 //! When the ring overflowed (`dropped > 0`) the oldest events are gone by
 //! design, so the exact equalities relax to lower bounds (an event count
-//! can never *exceed* its counter). Repair events are recorded but kept
-//! out of the counter algebra: `repair_moves` also counts the batch
-//! partitioners' local-search moves, which the recorder deliberately does
-//! not trace (the flight recorder covers the online admission path).
+//! can never *exceed* its counter) and span balance is not required.
 //!
-//! Like `telemetry-consistency`, the rule is claim-gated — it only runs
-//! when the caller attaches a [`TraceCounts`] observation — and this
-//! crate keeps receiving plain integers so it stays free of the `mcs-obs`
-//! dependency.
+//! The check runs once over a quiescent window (all workers joined, every
+//! ring drained), which only the caller can supply, so it is a function
+//! rather than a per-partition rule; this crate keeps receiving plain
+//! integers so it stays free of the `mcs-obs` dependency.
 
 use crate::diagnostic::{Diagnostic, Subject};
-use crate::invariant::{AuditContext, Invariant};
 
-/// Rule id of [`TraceConsistency`].
+/// Rule id of the [`check_trace_counts`] findings.
 pub const TRACE_ID: &str = "trace-consistency";
 
-/// A quiescent observation pairing per-kind flight-recorder event counts
-/// with the counter deltas they must match, supplied by the caller
-/// (typically `TraceLog::counts` over one audited sweep next to a
-/// `Snapshot` delta of the same window).
+/// A quiescent observation of the recorder-only event counts next to the
+/// counter deltas they must match, supplied by the caller (typically
+/// `TraceLog::counts` over one audited sweep next to a `Snapshot` delta of
+/// the same window).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceCounts {
-    /// `admission_admit` events in the stream.
-    pub admits: u64,
-    /// `admission_reject` events.
-    pub rejects: u64,
-    /// `admission_depart` events.
-    pub departs: u64,
-    /// `probe_sweep_begin` events.
+    /// `probe_sweep_begin` events in the stream.
     pub probe_sweep_begins: u64,
     /// `probe_sweep_end` events.
     pub probe_sweep_ends: u64,
-    /// `sim_release` events.
-    pub sim_releases: u64,
-    /// `sim_complete` events.
-    pub sim_completions: u64,
-    /// `sim_mode_switch` events.
-    pub sim_mode_switches: u64,
-    /// `sim_drop` events.
-    pub sim_drops: u64,
-    /// `sim_idle_reset` events.
-    pub sim_idle_resets: u64,
-    /// `sim_deadline_miss` events.
-    pub sim_deadline_misses: u64,
     /// `trial_begin` events.
     pub trial_begins: u64,
     /// `trial_end` events.
@@ -65,85 +42,24 @@ pub struct TraceCounts {
     pub checkpoint_writes: u64,
     /// Ring-overflow drops accounted across the stream.
     pub dropped: u64,
-    /// `admission_admits` counter delta over the same window.
-    pub counter_admits: u64,
-    /// `admission_rejects` counter delta.
-    pub counter_rejects: u64,
-    /// `admission_departs` counter delta.
-    pub counter_departs: u64,
-    /// `sim_releases` counter delta.
-    pub counter_sim_releases: u64,
-    /// `sim_completions` counter delta.
-    pub counter_sim_completions: u64,
-    /// `sim_mode_switches` counter delta.
-    pub counter_sim_mode_switches: u64,
-    /// `sim_drops` counter delta.
-    pub counter_sim_drops: u64,
-    /// `sim_idle_resets` counter delta.
-    pub counter_sim_idle_resets: u64,
-    /// `sim_deadline_misses` counter delta.
-    pub counter_sim_deadline_misses: u64,
-    /// `harness_trials_computed` counter delta.
-    pub counter_trials_computed: u64,
+    /// `harness_trials_computed` counter delta over the same window.
+    pub trials_computed: u64,
     /// `checkpoint_flushes` counter delta.
-    pub counter_checkpoint_flushes: u64,
+    pub checkpoint_flushes: u64,
 }
 
-impl TraceCounts {
-    /// The `(wire name, event count, counter name, counter delta)` pairs
-    /// the cross-check runs over.
-    fn pairs(&self) -> [(&'static str, u64, &'static str, u64); 11] {
-        [
-            ("admission_admit", self.admits, "admission_admits", self.counter_admits),
-            ("admission_reject", self.rejects, "admission_rejects", self.counter_rejects),
-            ("admission_depart", self.departs, "admission_departs", self.counter_departs),
-            ("sim_release", self.sim_releases, "sim_releases", self.counter_sim_releases),
-            ("sim_complete", self.sim_completions, "sim_completions", self.counter_sim_completions),
-            (
-                "sim_mode_switch",
-                self.sim_mode_switches,
-                "sim_mode_switches",
-                self.counter_sim_mode_switches,
-            ),
-            ("sim_drop", self.sim_drops, "sim_drops", self.counter_sim_drops),
-            (
-                "sim_idle_reset",
-                self.sim_idle_resets,
-                "sim_idle_resets",
-                self.counter_sim_idle_resets,
-            ),
-            (
-                "sim_deadline_miss",
-                self.sim_deadline_misses,
-                "sim_deadline_misses",
-                self.counter_sim_deadline_misses,
-            ),
-            (
-                "trial_begin",
-                self.trial_begins,
-                "harness_trials_computed",
-                self.counter_trials_computed,
-            ),
-            (
-                "checkpoint_write",
-                self.checkpoint_writes,
-                "checkpoint_flushes",
-                self.counter_checkpoint_flushes,
-            ),
-        ]
-    }
-}
-
-/// Check the event/counter cross-algebra directly (the rule delegates
-/// here; the audit command's final quiescent pass calls it without a
-/// partition context).
+/// Check the stream algebra over one quiescent observation.
 #[must_use]
 pub fn check_trace_counts(t: &TraceCounts) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut err = |msg: String| out.push(Diagnostic::error(TRACE_ID, Subject::System, msg));
+    let pairs = [
+        ("trial_begin", t.trial_begins, "harness_trials_computed", t.trials_computed),
+        ("checkpoint_write", t.checkpoint_writes, "checkpoint_flushes", t.checkpoint_flushes),
+    ];
 
     if t.dropped == 0 {
-        for (ev_name, ev, ctr_name, ctr) in t.pairs() {
+        for (ev_name, ev, ctr_name, ctr) in pairs {
             if ev != ctr {
                 err(format!(
                     "event count drifted from its counter: {ev} `{ev_name}` events != \
@@ -166,7 +82,7 @@ pub fn check_trace_counts(t: &TraceCounts) -> Vec<Diagnostic> {
     } else {
         // Oldest events were dropped at ring overflow: exactness is gone,
         // but an event count exceeding its counter is still impossible.
-        for (ev_name, ev, ctr_name, ctr) in t.pairs() {
+        for (ev_name, ev, ctr_name, ctr) in pairs {
             if ev > ctr {
                 err(format!(
                     "event count exceeds its counter despite {} drops: {ev} `{ev_name}` \
@@ -179,59 +95,20 @@ pub fn check_trace_counts(t: &TraceCounts) -> Vec<Diagnostic> {
     out
 }
 
-/// The `trace-consistency` rule. No-op unless the context carries a
-/// [`TraceCounts`] observation.
-pub struct TraceConsistency;
-
-impl Invariant for TraceConsistency {
-    fn id(&self) -> &'static str {
-        TRACE_ID
-    }
-
-    fn description(&self) -> &'static str {
-        "flight-recorder stream algebra: per-kind event counts equal their counter deltas at \
-         quiescence (lower bounds under accounted ring drops), span pairs balance"
-    }
-
-    fn check(&self, ctx: &AuditContext<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(trace) = ctx.trace else { return };
-        out.extend(check_trace_counts(trace));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcs_model::{CoreId, Partition, TaskBuilder, TaskId, TaskSet};
 
     fn consistent() -> TraceCounts {
         TraceCounts {
-            admits: 40,
-            rejects: 10,
-            departs: 25,
             probe_sweep_begins: 12,
             probe_sweep_ends: 12,
-            sim_releases: 100,
-            sim_completions: 90,
-            sim_mode_switches: 5,
-            sim_drops: 3,
-            sim_idle_resets: 7,
-            sim_deadline_misses: 2,
             trial_begins: 16,
             trial_ends: 16,
             checkpoint_writes: 16,
             dropped: 0,
-            counter_admits: 40,
-            counter_rejects: 10,
-            counter_departs: 25,
-            counter_sim_releases: 100,
-            counter_sim_completions: 90,
-            counter_sim_mode_switches: 5,
-            counter_sim_drops: 3,
-            counter_sim_idle_resets: 7,
-            counter_sim_deadline_misses: 2,
-            counter_trials_computed: 16,
-            counter_checkpoint_flushes: 16,
+            trials_computed: 16,
+            checkpoint_flushes: 16,
         }
     }
 
@@ -242,20 +119,18 @@ mod tests {
 
     #[test]
     fn each_drifted_pair_is_reported() {
-        let breaks: [(&str, fn(&mut TraceCounts)); 7] = [
-            ("admits", |t| t.admits += 1),
-            ("rejects", |t| t.counter_rejects += 1),
-            ("departs", |t| t.departs += 1),
-            ("sim", |t| t.sim_releases += 1),
-            ("trials", |t| t.trial_begins = t.counter_trials_computed + 1),
+        type Tweak = fn(&mut TraceCounts);
+        let breaks: [(&str, Tweak); 4] = [
+            ("trials", |t| t.trials_computed += 1),
             ("checkpoint", |t| t.checkpoint_writes += 1),
-            ("spans", |t| t.probe_sweep_ends += 1),
+            ("probe spans", |t| t.probe_sweep_ends += 1),
+            ("trial spans", |t| t.trial_ends += 1),
         ];
         for (label, tweak) in breaks {
             let mut t = consistent();
             tweak(&mut t);
             let findings = check_trace_counts(&t);
-            assert!(!findings.is_empty(), "{label}: violation not caught");
+            assert_eq!(findings.len(), 1, "{label}: {findings:?}");
             assert!(findings.iter().all(|d| d.rule_id == TRACE_ID));
         }
     }
@@ -264,28 +139,10 @@ mod tests {
     fn drops_relax_exactness_to_lower_bounds() {
         let mut t = consistent();
         t.dropped = 5;
-        t.admits -= 3; // lost to the ring: fine
-        t.trial_begins -= 1; // span imbalance from drops: fine
+        t.trial_begins -= 1; // lost to the ring, and a span imbalance: fine
+        t.probe_sweep_begins -= 2;
         assert!(check_trace_counts(&t).is_empty());
-        t.sim_releases = t.counter_sim_releases + 1; // still impossible
+        t.checkpoint_writes = t.checkpoint_flushes + 1; // still impossible
         assert_eq!(check_trace_counts(&t).len(), 1);
-    }
-
-    #[test]
-    fn rule_is_inert_without_an_observation() {
-        let task = TaskBuilder::new(TaskId(0)).period(10).level(1).wcet(&[1]).build().unwrap();
-        let ts = TaskSet::new(1, vec![task]).unwrap();
-        let mut p = Partition::empty(1, 1);
-        p.assign(TaskId(0), CoreId(0));
-        let ctx = AuditContext::new(&ts, &p, "X");
-        let mut out = Vec::new();
-        TraceConsistency.check(&ctx, &mut out);
-        assert!(out.is_empty());
-
-        let mut bad = consistent();
-        bad.admits += 1;
-        let ctx = ctx.with_trace(&bad);
-        TraceConsistency.check(&ctx, &mut out);
-        assert_eq!(out.len(), 1);
     }
 }

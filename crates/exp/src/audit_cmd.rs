@@ -10,7 +10,7 @@
 //! claim, contribution ordering, α, and a re-run closure for the
 //! `harness-determinism` rule) are attached from its [`SchemeInfo`]
 //! metadata. Every audit `Error` makes the command exit non-zero. The
-//! `telemetry-consistency` and `trace-consistency` rules are not part of
+//! `telemetry-consistency` and `trace-consistency` checks are not part of
 //! the per-partition pass: they need a quiescent global observation (a
 //! counter snapshot, a drained flight-recorder stream), so the binary runs
 //! them once after the sweep (reporting via stderr and the exit code only).
@@ -245,17 +245,7 @@ pub fn run(config: &SweepConfig) -> AuditOutcome {
 /// The audit sweep on an existing session (enables `--jsonl`/`--resume`).
 #[must_use]
 pub fn run_session(session: &mut RunSession) -> AuditOutcome {
-    // The telemetry and trace rules need a quiescent global observation
-    // (counter snapshot / drained flight-recorder stream), which only the
-    // single-command binary can supply; both run once after the sweep (see
-    // `telemetry::quiescent_check`, `telemetry::quiescent_trace_check` and
-    // main.rs) and are kept out of the per-scheme table so the published
-    // output and the checkpoint record shape stay stable.
-    let rule_ids: Vec<&'static str> = Registry::standard()
-        .rules()
-        .map(Invariant::id)
-        .filter(|&id| id != mcs_audit::TELEMETRY_ID && id != mcs_audit::TRACE_ID)
-        .collect();
+    let rule_ids: Vec<&'static str> = Registry::standard().rules().map(Invariant::id).collect();
     let multi = GenParams::default();
     let dual = GenParams::default().with_levels(2);
     let flags = SchemeFlags::default();
@@ -344,8 +334,6 @@ mod tests {
         // Every scheme partitioned at least one set at these defaults.
         for s in &outcome.schemes {
             assert!(s.partitioned > 0, "{} never partitioned", s.scheme);
-            // Every standard rule except the two quiescent-window rules
-            // (telemetry-consistency, trace-consistency).
             assert_eq!(s.rules.len(), 11);
             assert!(s.rules.iter().any(|r| r.rule_id == "harness-determinism"));
         }

@@ -656,9 +656,9 @@ fn run_command(cmd: &str, opts: &Options, trace_acc: &mut TraceLog) -> Result<()
             );
             // The trace-consistency cross-check needs both sides observed
             // over the same window: force the recorder on for the sweep
-            // (restored afterwards) whenever both layers are compiled in.
+            // (restored afterwards) whenever telemetry is compiled in.
             let was_tracing = mcs_obs::tracing_enabled();
-            let cross_check = mcs_obs::RECORDER && mcs_obs::compiled();
+            let cross_check = mcs_obs::compiled();
             if cross_check {
                 mcs_obs::set_tracing(true);
             }
@@ -776,7 +776,7 @@ fn run_command(cmd: &str, opts: &Options, trace_acc: &mut TraceLog) -> Result<()
             if !r.sim.trace_identical {
                 return Err("event-engine simulator trace diverged from the tick oracle".into());
             }
-            if mcs_obs::RECORDER && r.recorder.overhead_pct() >= 2.0 {
+            if mcs_obs::compiled() && r.recorder.overhead_pct() >= 2.0 {
                 return Err(format!(
                     "flight-recorder overhead {:.2}% on the admission hot path breaches \
                      the 2% budget",
@@ -824,9 +824,9 @@ fn run_command(cmd: &str, opts: &Options, trace_acc: &mut TraceLog) -> Result<()
                 opts.config.trials,
                 opts.config.effective_threads()
             );
-            if !mcs_obs::RECORDER {
+            if !mcs_obs::compiled() {
                 eprintln!(
-                    "[mcs-exp] warning: built with the recorder-off feature — \
+                    "[mcs-exp] warning: built with the telemetry-off feature — \
                      the stream will be empty"
                 );
             }
@@ -913,9 +913,9 @@ fn main() -> ExitCode {
         mcs_obs::set_timing(true);
     }
     if opts.trace.is_some() {
-        if !mcs_obs::RECORDER {
+        if !mcs_obs::compiled() {
             eprintln!(
-                "[mcs-exp] warning: built with the recorder-off feature — \
+                "[mcs-exp] warning: built with the telemetry-off feature — \
                  --trace will record nothing"
             );
         }

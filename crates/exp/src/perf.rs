@@ -451,7 +451,7 @@ impl PerfReport {
         let _ = writeln!(out, "  \"admission_accept_ratio\": {:.4},", self.admission.accept_ratio);
         let _ =
             writeln!(out, "  \"admission_state_identical\": {},", self.admission.state_identical);
-        let _ = writeln!(out, "  \"recorder_compiled\": {},", mcs_obs::RECORDER);
+        let _ = writeln!(out, "  \"recorder_compiled\": {},", mcs_obs::COMPILED);
         let _ = writeln!(
             out,
             "  \"recorder_admission_off_per_sec\": {:.1},",

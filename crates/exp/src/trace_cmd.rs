@@ -166,7 +166,7 @@ mod tests {
 
     #[test]
     fn replay_stream_is_thread_count_invariant() {
-        if !mcs_obs::RECORDER {
+        if !mcs_obs::COMPILED {
             return;
         }
         let _guard = trace_lock();
@@ -200,7 +200,7 @@ mod tests {
 
     #[test]
     fn chrome_export_round_trips_through_the_harness_parser() {
-        if !mcs_obs::RECORDER {
+        if !mcs_obs::COMPILED {
             return;
         }
         let _guard = trace_lock();

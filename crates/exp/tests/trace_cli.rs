@@ -83,9 +83,9 @@ fn trace_export_is_valid_chrome_trace_event_json() {
         .and_then(|o| o.get("dropped_events"))
         .and_then(json::JsonValue::as_u64)
         .expect("otherData.dropped_events");
-    // The recorder may be compiled out (`recorder-off`); then the wrapper
+    // The recorder may be compiled out (`telemetry-off`); then the wrapper
     // is still valid JSON, just empty.
-    if mcs_obs::RECORDER {
+    if mcs_obs::COMPILED {
         assert!(!events.is_empty(), "a traced replay must record events");
     }
     let mut spans_open = 0i64;

@@ -136,9 +136,17 @@ pub fn fmt_f64(x: f64) -> String {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth would let a crafted line (a
+/// `--resume` checkpoint, a `perf --check` baseline) overflow the stack;
+/// every document this workspace writes nests at most a few levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -220,13 +228,17 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (input is a &str, so this is
-                    // always on a char boundary).
+                    // Copy the whole run up to the next quote or escape in
+                    // one slice (linear in the string, not quadratic). Both
+                    // delimiters are ASCII and the input is a &str, so the
+                    // run always ends on a char boundary.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unterminated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len =
+                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -259,6 +271,57 @@ impl<'a> Parser<'a> {
         Ok(JsonValue::Num(raw.to_string()))
     }
 
+    /// The array at `pos` (its nesting depth is accounted by the caller).
+    fn array(&mut self) -> Result<JsonValue, String> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(JsonValue::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Arr(items));
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+    }
+
+    /// The object at `pos` (its nesting depth is accounted by the caller).
+    fn object(&mut self) -> Result<JsonValue, String> {
+        self.pos += 1;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(JsonValue::Obj(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.eat(b':')?;
+            let value = self.value()?;
+            fields.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Obj(fields));
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
+        }
+    }
+
     fn value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.peek().ok_or_else(|| self.err("unexpected end"))? {
@@ -268,52 +331,14 @@ impl<'a> Parser<'a> {
             b'N' => self.literal("NaN", JsonValue::Num("NaN".to_string())),
             b'I' => self.literal("Infinity", JsonValue::Num("Infinity".to_string())),
             b'"' => Ok(JsonValue::Str(self.string()?)),
-            b'[' => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
+            open @ (b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
                 }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(JsonValue::Arr(items));
-                        }
-                        _ => return Err(self.err("expected ',' or ']'")),
-                    }
-                }
-            }
-            b'{' => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.eat(b':')?;
-                    let value = self.value()?;
-                    fields.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(JsonValue::Obj(fields));
-                        }
-                        _ => return Err(self.err("expected ',' or '}'")),
-                    }
-                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
             }
             _ => self.number(),
         }
@@ -323,9 +348,10 @@ impl<'a> Parser<'a> {
 /// Parse one JSON document (a full line of a JSONL file).
 ///
 /// # Errors
-/// Returns a position-annotated message on malformed input.
+/// Returns a position-annotated message on malformed input, including
+/// arrays and objects nested deeper than 128 levels.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -371,6 +397,32 @@ mod tests {
         let ugly = "a\"b\\c\nd\te\u{1}π";
         let doc = format!("\"{}\"", escape(ugly));
         assert_eq!(parse(&doc).unwrap().as_str(), Some(ugly));
+    }
+
+    #[test]
+    fn megabyte_strings_parse_in_linear_time() {
+        // 1 MiB of mixed one- and two-byte scalars, then an escape: the
+        // per-character re-validation this replaces took minutes here.
+        let body = "ab\u{3c0}".repeat(1 << 18);
+        assert_eq!(body.len(), 1 << 20);
+        let doc = format!("{{\"k\":\"{body}\\n\"}}");
+        let v = parse(&doc).unwrap();
+        let s = v.get("k").and_then(JsonValue::as_str).unwrap();
+        assert_eq!(s.len(), body.len() + 1);
+        assert!(s.starts_with(&body) && s.ends_with('\n'));
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + "1" + &close.repeat(n);
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        for deep in [nest("[", "]", MAX_DEPTH + 1), nest("{\"a\":", "}", MAX_DEPTH + 1)] {
+            let err = parse(&deep).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+        }
+        // Adversarial input that overflowed the stack before the limit.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

@@ -431,7 +431,7 @@ mod tests {
         let one = trace_run(31, 1, 11);
         let eight = trace_run(31, 8, 11);
         mcs_obs::set_tracing(false);
-        if !mcs_obs::RECORDER {
+        if !mcs_obs::COMPILED {
             assert!(one.is_empty());
             return;
         }
@@ -454,7 +454,7 @@ mod tests {
         mcs_obs::set_tracing(false);
         let log = session.take_trace();
         std::fs::remove_file(&path).ok();
-        if !mcs_obs::RECORDER {
+        if !mcs_obs::COMPILED {
             return;
         }
         assert_eq!(log.counts()[mcs_obs::EventKind::CheckpointWrite as usize], 9);
@@ -578,7 +578,7 @@ mod tests {
                 let one = trace_run(trials, 1, seed);
                 let many = trace_run(trials, threads, seed);
                 mcs_obs::set_tracing(false);
-                if mcs_obs::RECORDER {
+                if mcs_obs::COMPILED {
                     prop_assert_eq!(&one, &many);
                     prop_assert_eq!(one.to_chrome_json(), many.to_chrome_json());
                 }

@@ -1,13 +1,14 @@
 //! Workspace-level facts the rules cross-check against — today, the
 //! `mcs-obs` static telemetry registry.
 //!
-//! The counter-discipline and trace-discipline rules need to know which
-//! `Counter::…` / `Phase::…` / `EventKind::…` variants exist. Rather than
-//! depending on `mcs-obs` (which would make the linter's view drift from
-//! the source the moment the registry is edited without rebuilding), the
-//! names are read from the registry *source*: the
-//! `counters! { Variant => "wire_name", … }`, `phases! { … }`, and
-//! `event_kinds! { … }` macro blocks in `crates/obs/src/registry.rs`.
+//! The counter-registry rule needs to know which `Counter::…` /
+//! `Phase::…` / `EventKind::…` variants exist. Rather than depending on
+//! `mcs-obs` (which would make the linter's view drift from the source the
+//! moment the registry is edited without rebuilding), the names are read
+//! from the registry *source*: the event table
+//! `events! { Counter => "name", record Kind => "name"; … }` and the
+//! `phases! { Variant => "name", … }` list in
+//! `crates/obs/src/registry.rs`.
 //!
 //! The doc-anchor rule additionally needs the set of heading anchors the
 //! root `DESIGN.md` defines, so `DESIGN.md#…` references in rustdoc stay
@@ -30,6 +31,9 @@ pub struct LintContext {
     pub phases: BTreeMap<String, u32>,
     /// Registered `EventKind` variants → definition line in the registry.
     pub event_kinds: BTreeMap<String, u32>,
+    /// `EventKind` variant → the `Counter` declared on the same event-table
+    /// row (events that are both counted and recorded).
+    pub kind_counters: BTreeMap<String, String>,
     /// Whether a registry file was found (rules that need it no-op
     /// otherwise, so partial source sets — fixtures — stay usable).
     pub has_registry: bool,
@@ -47,30 +51,30 @@ impl LintContext {
     pub fn from_registry(registry_tokens: Option<&[Token]>) -> Self {
         let Some(tokens) = registry_tokens else { return Self::default() };
         let mut ctx = Self { has_registry: true, ..Self::default() };
-        ctx.counters = macro_variants(tokens, "counters");
-        ctx.phases = macro_variants(tokens, "phases");
-        ctx.event_kinds = macro_variants(tokens, "event_kinds");
-        ctx
-    }
-
-    /// Test constructor with explicit variant lists.
-    #[must_use]
-    pub fn with_names(counters: &[&str], phases: &[&str]) -> Self {
-        Self {
-            counters: counters.iter().map(|n| ((*n).to_string(), 0)).collect(),
-            phases: phases.iter().map(|n| ((*n).to_string(), 0)).collect(),
-            has_registry: true,
-            ..Self::default()
+        let phases = macro_body(tokens, "phases");
+        ctx.phases =
+            declarations(&phases).map(|(_, name, line)| (name.to_string(), line)).collect();
+        // One event-table row per `;`: a `record`-prefixed declaration is
+        // an event kind, any other a counter; a row with both attaches the
+        // kind to its counter.
+        let events = macro_body(tokens, "events");
+        for row in events.split(|t| t.kind == TokKind::Punct(';')) {
+            let mut counter = None;
+            for (i, name, line) in declarations(row) {
+                let recorded =
+                    i > 0 && matches!(&row[i - 1].kind, TokKind::Ident(k) if k == "record");
+                if recorded {
+                    ctx.event_kinds.insert(name.to_string(), line);
+                    if let Some(c) = counter {
+                        ctx.kind_counters.insert(name.to_string(), String::from(c));
+                    }
+                } else {
+                    ctx.counters.insert(name.to_string(), line);
+                    counter = Some(name);
+                }
+            }
         }
-    }
-
-    /// Attach an explicit `EventKind` variant list (builder style; the
-    /// trace-discipline rule's test entry point).
-    #[must_use]
-    pub fn with_event_kinds(mut self, kinds: &[&str]) -> Self {
-        self.event_kinds = kinds.iter().map(|n| ((*n).to_string(), 0)).collect();
-        self.has_registry = true;
-        self
+        ctx
     }
 
     /// Attach the anchor set parsed from a `DESIGN.md` document (builder
@@ -121,10 +125,10 @@ pub fn anchors_from_markdown(markdown: &str) -> BTreeSet<String> {
     out
 }
 
-/// Extract `Variant => "name"` left-hand sides from a `name! { … }` macro
-/// invocation: idents directly followed by `=>` inside the block.
-fn macro_variants(tokens: &[Token], macro_name: &str) -> BTreeMap<String, u32> {
-    let mut out = BTreeMap::new();
+/// The depth-1 tokens of every `name! { … }` invocation body, in order
+/// (tokens inside nested braces are skipped).
+fn macro_body<'t>(tokens: &'t [Token], macro_name: &str) -> Vec<&'t Token> {
+    let mut out = Vec::new();
     let mut i = 0usize;
     while i + 2 < tokens.len() {
         let is_open = matches!(&tokens[i].kind, TokKind::Ident(n) if n == macro_name)
@@ -140,13 +144,7 @@ fn macro_variants(tokens: &[Token], macro_name: &str) -> BTreeMap<String, u32> {
             match &tokens[j].kind {
                 TokKind::OpenBrace => depth += 1,
                 TokKind::CloseBrace => depth -= 1,
-                TokKind::Ident(name)
-                    if depth == 1
-                        && tokens.get(j + 1).map(|t| &t.kind) == Some(&TokKind::Punct('='))
-                        && tokens.get(j + 2).map(|t| &t.kind) == Some(&TokKind::Punct('>')) =>
-                {
-                    out.insert(name.clone(), tokens[j].line);
-                }
+                _ if depth == 1 => out.push(&tokens[j]),
                 _ => {}
             }
             j += 1;
@@ -154,6 +152,17 @@ fn macro_variants(tokens: &[Token], macro_name: &str) -> BTreeMap<String, u32> {
         i = j;
     }
     out
+}
+
+/// The `Variant => "name"` declarations among `body`: each left-hand
+/// ident directly followed by `=>`, with its index in `body` and its line.
+fn declarations<'t>(body: &'t [&'t Token]) -> impl Iterator<Item = (usize, &'t str, u32)> + 't {
+    body.windows(3).enumerate().filter_map(|(i, w)| match (&w[0].kind, &w[1].kind, &w[2].kind) {
+        (TokKind::Ident(name), TokKind::Punct('='), TokKind::Punct('>')) => {
+            Some((i, name.as_str(), w[0].line))
+        }
+        _ => None,
+    })
 }
 
 #[cfg(test)]
@@ -164,31 +173,34 @@ mod tests {
     #[test]
     fn extracts_variants_from_macro_blocks() {
         let src = "\
-counters! {
+events! {
     /// Doc line.
-    EngineProbesIssued => \"engine_probes_issued\",
-    EngineCommits => \"engine_commits\",
+    EngineProbesIssued => \"engine_probes_issued\";
+    AdmissionAdmits => \"admission_admits\", record AdmissionAdmit => \"admission_admit\";
+    record TrialBegin => \"trial_begin\";
+    EngineCommits => \"engine_commits\";
 }
 phases! {
     ProbeBatch => \"probe_batch\",
-}
-event_kinds! {
-    AdmissionAdmit => \"admission_admit\",
-    TrialBegin => \"trial_begin\",
 }
 ";
         let lexed = lex(src);
         let ctx = LintContext::from_registry(Some(&lexed.tokens));
         assert_eq!(
             ctx.counters.keys().cloned().collect::<Vec<_>>(),
-            vec!["EngineCommits", "EngineProbesIssued"]
+            vec!["AdmissionAdmits", "EngineCommits", "EngineProbesIssued"]
         );
         assert_eq!(ctx.phases.keys().cloned().collect::<Vec<_>>(), vec!["ProbeBatch"]);
         assert_eq!(
             ctx.event_kinds.keys().cloned().collect::<Vec<_>>(),
             vec!["AdmissionAdmit", "TrialBegin"]
         );
+        assert_eq!(
+            ctx.kind_counters.iter().collect::<Vec<_>>(),
+            vec![(&"AdmissionAdmit".to_string(), &"AdmissionAdmits".to_string())]
+        );
         assert_eq!(ctx.counters["EngineProbesIssued"], 3);
+        assert_eq!(ctx.event_kinds["TrialBegin"], 5);
     }
 
     #[test]

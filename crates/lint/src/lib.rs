@@ -13,10 +13,9 @@
 //!   allocation-free;
 //! * [`rules::determinism::Determinism`] — no `HashMap`/wall-clock/
 //!   thread-identity nondeterminism in record-producing code;
-//! * [`rules::counters::CounterRegistry`] — `Counter::`/`Phase::` names
-//!   match the `mcs-obs` registry, and registered names are used;
-//! * [`rules::trace_discipline::TraceDiscipline`] — `EventKind::` names
-//!   match the `mcs-obs` event registry, and registered kinds are emitted;
+//! * [`rules::counters::CounterRegistry`] — `Counter::`/`Phase::`/
+//!   `EventKind::` names match the `mcs-obs` registry, and registered
+//!   names are used;
 //! * [`rules::panics::PanicPolicy`] — library code fails via
 //!   `.expect("why")`, not `.unwrap()`/`panic!`;
 //! * [`rules::doc_anchor::DocAnchor`] — `DESIGN.md#…` anchors referenced

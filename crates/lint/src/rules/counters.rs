@@ -1,13 +1,16 @@
 //! `counter-registry`: telemetry names stay in sync with the registry.
 //!
-//! Every `Counter::…` / `Phase::…` reference in instrumented code is
-//! cross-checked against the static registry parsed from
-//! `crates/obs/src/registry.rs` (see [`crate::context`]): a reference to
-//! an unregistered variant is an error (it would not compile, but the
-//! lint also runs on fixtures and diffs that never reach rustc), and a
-//! registered counter that no instrumented code references is dead
-//! telemetry — reported as a warning at its definition line so the
-//! registry cannot silently accrete abandoned entries.
+//! Every `Counter::…` / `Phase::…` / `EventKind::…` reference in
+//! instrumented code is cross-checked against the event table and phase
+//! list parsed from `crates/obs/src/registry.rs` (see [`crate::context`]):
+//! a reference to an unregistered variant is an error (it would not
+//! compile, but the lint also runs on fixtures and diffs that never reach
+//! rustc), and a registered name that no instrumented code references is
+//! dead telemetry — reported as a warning at its definition line so the
+//! registry cannot silently accrete abandoned entries. A recorded kind
+//! declared on a counter's row is emitted through that counter
+//! (`mcs_obs::event!`), so it is live whenever its counter is
+//! (`DESIGN.md#flight-recorder`).
 
 use std::collections::BTreeSet;
 
@@ -23,8 +26,14 @@ const ASSOC_ITEMS: &[&str] = &["ALL", "COUNT", "name", "from_name"];
 /// See the module docs.
 #[derive(Default)]
 pub struct CounterRegistry {
-    used_counters: BTreeSet<String>,
-    used_phases: BTreeSet<String>,
+    /// Referenced `(enum, variant)` pairs.
+    used: BTreeSet<(&'static str, String)>,
+}
+
+impl CounterRegistry {
+    fn is_used(&self, enum_name: &'static str, variant: &str) -> bool {
+        self.used.contains(&(enum_name, variant.to_string()))
+    }
 }
 
 impl LintRule for CounterRegistry {
@@ -33,21 +42,22 @@ impl LintRule for CounterRegistry {
     }
 
     fn description(&self) -> &'static str {
-        "every Counter::/Phase:: reference exists in the mcs-obs registry; \
-         registered counters no code references are reported"
+        "every Counter::/Phase::/EventKind:: reference exists in the mcs-obs registry; \
+         registered names no code references are reported"
     }
 
     fn check(&mut self, file: &SourceFile, ctx: &LintContext, out: &mut Vec<Diagnostic>) {
         if !ctx.has_registry || file.rel_path.starts_with("crates/obs/") {
             // The registry defines the names; the obs crate's own plumbing
-            // (sinks iterating `Counter::ALL`) neither uses nor misuses
-            // any particular counter.
+            // (sinks iterating `Counter::ALL`, the Chrome exporter matching
+            // on kinds) neither uses nor misuses any particular name.
             return;
         }
         for (i, line, name) in file.idents() {
-            let registry = match name {
-                "Counter" => &ctx.counters,
-                "Phase" => &ctx.phases,
+            let (enum_name, registry) = match name {
+                "Counter" => ("Counter", &ctx.counters),
+                "Phase" => ("Phase", &ctx.phases),
+                "EventKind" => ("EventKind", &ctx.event_kinds),
                 _ => continue,
             };
             if !file.is_path_sep(i + 1) {
@@ -58,11 +68,7 @@ impl LintRule for CounterRegistry {
                 continue;
             }
             if registry.contains_key(variant) {
-                if name == "Counter" {
-                    self.used_counters.insert(variant.to_string());
-                } else {
-                    self.used_phases.insert(variant.to_string());
-                }
+                self.used.insert((enum_name, variant.to_string()));
             } else if is_variant_shaped(variant) {
                 out.push(Diagnostic::error(
                     self.id(),
@@ -80,12 +86,15 @@ impl LintRule for CounterRegistry {
         if !ctx.has_registry {
             return;
         }
-        for (kind, registry, used) in [
-            ("counter", &ctx.counters, &self.used_counters),
-            ("phase", &ctx.phases, &self.used_phases),
+        for (kind, enum_name, registry) in [
+            ("counter", "Counter", &ctx.counters),
+            ("phase", "Phase", &ctx.phases),
+            ("event kind", "EventKind", &ctx.event_kinds),
         ] {
             for (variant, line) in registry {
-                if !used.contains(variant) {
+                let via_counter =
+                    ctx.kind_counters.get(variant).is_some_and(|c| self.is_used("Counter", c));
+                if !self.is_used(enum_name, variant) && !via_counter {
                     out.push(Diagnostic::warning(
                         self.id(),
                         Subject::source(REGISTRY_PATH, *line),

@@ -18,7 +18,6 @@ pub mod exactfloat;
 pub mod hotpath;
 pub mod panics;
 pub mod stdout;
-pub mod trace_discipline;
 
 /// One source-level rule.
 pub trait LintRule {
@@ -46,7 +45,6 @@ pub fn standard() -> Vec<Box<dyn LintRule>> {
         Box::new(hotpath::HotPathAlloc),
         Box::new(determinism::Determinism),
         Box::new(counters::CounterRegistry::default()),
-        Box::new(trace_discipline::TraceDiscipline::default()),
         Box::new(panics::PanicPolicy),
         Box::new(doc_anchor::DocAnchor),
     ]

@@ -126,7 +126,7 @@ mod tests {
     fn from_sources_picks_up_the_registry() {
         let ws = Workspace::from_sources(
             &[
-                ("crates/obs/src/registry.rs", "counters! { A => \"a\", }"),
+                ("crates/obs/src/registry.rs", "events! { A => \"a\"; }"),
                 ("crates/sim/src/lib.rs", "pub fn f() {}"),
             ],
             &standard_ids(),

@@ -6,11 +6,16 @@
 //! writes a JSONL sidecar plus a human-readable summary — strictly to
 //! stderr or a `--telemetry <path>` file, never stdout.
 //!
+//! Every event is declared once, in the registry's event table: a row
+//! carries its [`Counter`], its flight-recorder [`EventKind`], or both,
+//! and [`event!`] emits both halves of a row from one call site.
+//!
 //! Three cost tiers:
 //!
-//! 1. **Compiled out** (`telemetry-off` feature): every probe point folds
-//!    to nothing ([`COMPILED`] is `false` and all instrumentation is
-//!    behind `if COMPILED`).
+//! 1. **Compiled out** (`telemetry-off`, the one kill switch): every
+//!    probe and record point folds to nothing ([`COMPILED`] is `false`
+//!    and all instrumentation, the flight recorder included, is behind
+//!    `if COMPILED`).
 //! 2. **Counters** (default): one relaxed `fetch_add` on a thread-sharded
 //!    slot per event; hot loops batch increments so the probe kernel pays
 //!    a register add per probe and one atomic per batch.
@@ -27,6 +32,7 @@
 //!
 //! let before = Snapshot::capture();
 //! mcs_obs::counter!(Counter::EngineCommits);
+//! mcs_obs::event!(Counter::SimIdleResets, 42, 0, 0, 0); // recorded only when tracing is on
 //! {
 //!     let _timer = mcs_obs::span(Phase::ProbeBatch); // inert unless timing is on
 //! }
@@ -49,7 +55,15 @@ pub use registry::{
 };
 pub use sink::{fmt_ns, git_describe, render_summary, write_jsonl, Provenance, SCHEMA};
 pub use span::{span, PhaseSpan};
-pub use trace::{TraceEvent, TraceLog, RECORDER, RING_CAP};
+pub use trace::{TraceEvent, TraceLog, RING_CAP};
+
+/// Serializes this crate's tests that toggle the global tracing or timing
+/// gates, or that need exact counter deltas.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Whether telemetry is compiled into this build — `const`, so callers can
 /// use it to skip even the cheapest local bookkeeping.
@@ -71,11 +85,13 @@ macro_rules! counter {
     };
 }
 
-/// Record a raw nanosecond sample into a [`Phase`] histogram (the RAII
-/// alternative is [`span`]).
+/// Emit one registered event: bump its [`Counter`] by 1 and, when the
+/// tracing gate is on and the counter's registry row declares an
+/// [`EventKind`], record that kind with payload `(tick, a, b, c)` (see
+/// [`trace::emit`]). Nothing at all under `telemetry-off`.
 #[macro_export]
-macro_rules! histogram {
-    ($phase:expr, $ns:expr) => {
-        $crate::record_phase($phase, $ns)
+macro_rules! event {
+    ($counter:expr, $tick:expr, $a:expr, $b:expr, $c:expr) => {
+        $crate::trace::emit($counter, $tick, $a, $b, $c)
     };
 }

@@ -24,112 +24,198 @@ use std::time::Instant;
 
 use crate::hist;
 
-/// Whether telemetry is compiled into this build (`telemetry` feature on,
-/// `telemetry-off` not set). When false, every probe point is a no-op the
-/// optimizer removes.
-pub const COMPILED: bool = cfg!(all(feature = "telemetry", not(feature = "telemetry-off")));
+/// Whether telemetry — counters, span timing, and the flight recorder — is
+/// compiled into this build (the `telemetry-off` kill switch is not set).
+/// When false, every probe and record point is a no-op the optimizer
+/// removes.
+pub const COMPILED: bool = cfg!(not(feature = "telemetry-off"));
 
-macro_rules! counters {
-    ($($(#[$doc:meta])* $variant:ident => $name:literal,)+) => {
+/// The event declaration table: each row declares one event, and a row
+/// may carry a [`Counter`], an [`EventKind`], or both (`Counter =>
+/// "counter_name", record Kind => "kind_name";`). A counted event that is
+/// also recorded is one row, so [`crate::event!`] can bump the counter and
+/// record the kind from a single call site and the two can never drift.
+/// Rows are munched one at a time into the two enum lists, then emitted.
+macro_rules! events {
+    (@rows [$($c:tt)*] [$($k:tt)*]
+        $(#[$doc:meta])* $cv:ident => $cn:literal, record $kv:ident => $kn:literal; $($rest:tt)*) => {
+        events!(@rows
+            [$($c)* $(#[$doc])* $cv => $cn => Some(EventKind::$kv);]
+            [$($k)* $(#[$doc])* $kv => $kn;]
+            $($rest)*);
+    };
+    (@rows [$($c:tt)*] [$($k:tt)*]
+        $(#[$doc:meta])* $cv:ident => $cn:literal; $($rest:tt)*) => {
+        events!(@rows [$($c)* $(#[$doc])* $cv => $cn => None;] [$($k)*] $($rest)*);
+    };
+    (@rows [$($c:tt)*] [$($k:tt)*]
+        $(#[$doc:meta])* record $kv:ident => $kn:literal; $($rest:tt)*) => {
+        events!(@rows [$($c)*] [$($k)* $(#[$doc])* $kv => $kn;] $($rest)*);
+    };
+    (@rows [$($(#[$cdoc:meta])* $cv:ident => $cn:literal => $ck:expr;)+]
+           [$($(#[$kdoc:meta])* $kv:ident => $kn:literal;)+]) => {
         /// A registered event counter. Each variant is one process-global
         /// monotone counter; the wire name (JSONL `name` field) is
         /// [`Counter::name`].
         #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
         #[repr(usize)]
         pub enum Counter {
-            $($(#[$doc])* $variant,)+
+            $($(#[$cdoc])* $cv,)+
         }
 
         impl Counter {
             /// Number of registered counters.
-            pub const COUNT: usize = [$(Counter::$variant),+].len();
+            pub const COUNT: usize = [$(Counter::$cv),+].len();
             /// Every counter, in registry (and JSONL emission) order.
-            pub const ALL: [Counter; Self::COUNT] = [$(Counter::$variant),+];
+            pub const ALL: [Counter; Self::COUNT] = [$(Counter::$cv),+];
 
             /// Stable wire name of this counter.
             #[must_use]
             pub fn name(self) -> &'static str {
-                match self { $(Counter::$variant => $name,)+ }
+                match self { $(Counter::$cv => $cn,)+ }
             }
 
             /// Inverse of [`Counter::name`].
             #[must_use]
             pub fn from_name(name: &str) -> Option<Self> {
-                match name { $($name => Some(Counter::$variant),)+ _ => None }
+                match name { $($cn => Some(Counter::$cv),)+ _ => None }
+            }
+
+            /// The flight-recorder kind declared on this counter's row, if
+            /// its events are also recorded.
+            #[inline]
+            #[must_use]
+            pub const fn kind(self) -> Option<EventKind> {
+                match self { $(Counter::$cv => $ck,)+ }
+            }
+        }
+
+        /// A registered flight-recorder event kind. Each variant is one
+        /// row of the event taxonomy (DESIGN.md#flight-recorder); the wire
+        /// name (Chrome-trace `name` field) is [`EventKind::name`].
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        #[repr(usize)]
+        pub enum EventKind {
+            $($(#[$kdoc])* $kv,)+
+        }
+
+        impl EventKind {
+            /// Number of registered event kinds.
+            pub const COUNT: usize = [$(EventKind::$kv),+].len();
+            /// Every kind, in registry order.
+            pub const ALL: [EventKind; Self::COUNT] = [$(EventKind::$kv),+];
+
+            /// Stable wire name of this event kind.
+            #[must_use]
+            pub fn name(self) -> &'static str {
+                match self { $(EventKind::$kv => $kn,)+ }
+            }
+
+            /// Inverse of [`EventKind::name`].
+            #[must_use]
+            pub fn from_name(name: &str) -> Option<Self> {
+                match name { $($kn => Some(EventKind::$kv),)+ _ => None }
             }
         }
     };
+    ($($rows:tt)+) => {
+        events!(@rows [] [] $($rows)+);
+    };
 }
 
-counters! {
+events! {
     /// Theorem-1 probes issued by the probe engine (batch, single, swap,
     /// and own-level fit probes alike).
-    EngineProbesIssued => "engine_probes_issued",
+    EngineProbesIssued => "engine_probes_issued";
     /// Probes whose verdict was infeasible (the task was rejected on that
     /// core).
-    EngineProbesRejected => "engine_probes_rejected",
+    EngineProbesRejected => "engine_probes_rejected";
     /// Probes whose verdict was feasible.
-    EngineProbesFeasible => "engine_probes_feasible",
+    EngineProbesFeasible => "engine_probes_feasible";
     /// Tracked commits (`ProbeEngine::commit`).
-    EngineCommits => "engine_commits",
+    EngineCommits => "engine_commits";
     /// Untracked placements (`ProbeEngine::place_untracked`, the
     /// bin-packing family).
-    EnginePlacementsUntracked => "engine_placements_untracked",
+    EnginePlacementsUntracked => "engine_placements_untracked";
     /// Evictions (repair moves removing a task from a core).
-    EngineEvictions => "engine_evictions",
+    EngineEvictions => "engine_evictions";
     /// Engine resets (one per partitioning run).
-    EngineResets => "engine_resets",
+    EngineResets => "engine_resets";
     /// Placement attempts: one per task the scheme tried to place.
-    PlacementAttempts => "placement_attempts",
+    PlacementAttempts => "placement_attempts";
     /// CA-TPA α-threshold activations (imbalance fallback placements).
-    AlphaFallbacks => "alpha_fallbacks",
+    AlphaFallbacks => "alpha_fallbacks";
     /// Repair (local-search) relocation moves applied.
-    RepairMoves => "repair_moves",
+    RepairMoves => "repair_moves";
     /// Batch-kernel invocations (`probe_all_cores` lane-parallel sweeps).
-    EngineBatchCalls => "engine_batch_calls",
+    EngineBatchCalls => "engine_batch_calls";
     /// SIMD lane slots evaluated by batch-kernel sweeps (core count
     /// rounded up to the lane width; the excess over
     /// `engine_probes_issued` from batch calls is padding overhead).
-    EngineBatchLaneSlots => "engine_batch_lane_slots",
+    EngineBatchLaneSlots => "engine_batch_lane_slots";
     /// `with_scratch` calls served by the warm thread-local scratch.
-    ScratchReuseHits => "scratch_reuse_hits",
+    ScratchReuseHits => "scratch_reuse_hits";
     /// `with_scratch` calls that fell back to a fresh scratch (re-entrant
     /// partitioner invocations).
-    ScratchFallbacks => "scratch_fallbacks",
+    ScratchFallbacks => "scratch_fallbacks";
     /// Trials computed by the harness this process (excludes resumed).
-    HarnessTrialsComputed => "harness_trials_computed",
+    HarnessTrialsComputed => "harness_trials_computed";
     /// Trials skipped by checkpoint resume.
-    HarnessTrialsResumed => "harness_trials_resumed",
+    HarnessTrialsResumed => "harness_trials_resumed";
     /// Successful worker block claims in the parallel trial loop.
-    HarnessBlockClaims => "harness_block_claims",
+    HarnessBlockClaims => "harness_block_claims";
+    /// A harness trial closure started (`a` trial seed).
+    record TrialBegin => "trial_begin";
+    /// A harness trial closure returned.
+    record TrialEnd => "trial_end";
     /// Checkpoint JSONL lines flushed.
-    CheckpointFlushes => "checkpoint_flushes",
+    CheckpointFlushes => "checkpoint_flushes";
     /// Checkpoint bytes written (data lines, including the newline).
-    CheckpointBytes => "checkpoint_bytes",
-    /// Simulator job releases.
-    SimReleases => "sim_releases",
-    /// Simulator job completions.
-    SimCompletions => "sim_completions",
-    /// Simulator mode switches (budget overruns).
-    SimModeSwitches => "sim_mode_switches",
-    /// Simulator job drops at mode switches.
-    SimDrops => "sim_drops",
-    /// Simulator idle resets back to level-1 operation.
-    SimIdleResets => "sim_idle_resets",
-    /// Simulator deadline misses.
-    SimDeadlineMisses => "sim_deadline_misses",
+    CheckpointBytes => "checkpoint_bytes";
+    /// A checkpoint data line was flushed (`a` bytes written, including
+    /// the newline).
+    record CheckpointWrite => "checkpoint_write";
+    /// Simulator job releases (`tick` time, `a` task, `b` job, `c`
+    /// absolute deadline).
+    SimReleases => "sim_releases", record SimRelease => "sim_release";
+    /// Simulator job completions (`tick` time, `a` task, `b` job, `c` = 1
+    /// when late).
+    SimCompletions => "sim_completions", record SimComplete => "sim_complete";
+    /// Simulator mode switches: a virtual-deadline budget overrun (`tick`
+    /// time, `a` overrunning task, `b` from-level, `c` to-level).
+    SimModeSwitches => "sim_mode_switches", record SimModeSwitch => "sim_mode_switch";
+    /// Simulator job drops at mode switches (`tick` time, `a` task, `b`
+    /// job).
+    SimDrops => "sim_drops", record SimDrop => "sim_drop";
+    /// Simulator idle resets back to level-1 operation (`tick` time).
+    SimIdleResets => "sim_idle_resets", record SimIdleReset => "sim_idle_reset";
+    /// Simulator deadline misses (`tick` time, `a` task, `b` job).
+    SimDeadlineMisses => "sim_deadline_misses", record SimDeadlineMiss => "sim_deadline_miss";
     /// Release-queue entries popped by the event-driven engine (due
     /// releases gathered per stop, both heaps).
-    SimEventsPopped => "sim_events_popped",
+    SimEventsPopped => "sim_events_popped";
     /// Release-queue entries pushed by the event-driven engine (re-keys
     /// after a drain plus mode-change migrations).
-    SimHeapPushes => "sim_heap_pushes",
-    /// Admission requests accepted (a placement was found).
-    AdmissionAdmits => "admission_admits",
-    /// Admission requests rejected (no core could absorb the task).
-    AdmissionRejects => "admission_rejects",
-    /// Departures processed by the admission engine.
-    AdmissionDeparts => "admission_departs",
+    SimHeapPushes => "sim_heap_pushes";
+    /// Admission requests accepted: a placement was found (`a` task, `b`
+    /// core, `c` feasible-core bitmask of the direct-placement probe
+    /// sweep).
+    AdmissionAdmits => "admission_admits", record AdmissionAdmit => "admission_admit";
+    /// Admission requests rejected: no core could absorb the task (`a`
+    /// task, `c` feasible-core bitmask — zero unless repair found late
+    /// feasibility).
+    AdmissionRejects => "admission_rejects", record AdmissionReject => "admission_reject";
+    /// Departures processed by the admission engine (`a` task, `b` core
+    /// it vacated).
+    AdmissionDeparts => "admission_departs", record AdmissionDepart => "admission_depart";
+    /// A repair relocation move was applied (`a` stuck task, `b` moved
+    /// task, `c` = from-core << 32 | to-core).
+    record AdmissionRepair => "admission_repair";
+    /// A repair-candidate probe sweep started (`a` stuck task, `b` cores).
+    record ProbeSweepBegin => "probe_sweep_begin";
+    /// A repair-candidate probe sweep finished (`a` stuck task, `b` = 1
+    /// when a relocation was found).
+    record ProbeSweepEnd => "probe_sweep_end";
 }
 
 macro_rules! phases {
@@ -194,80 +280,6 @@ phases! {
     /// One release-heap re-seat pass after a simulator mode change
     /// (active ↔ inactive migrations via epoch invalidation).
     SimHeapMaint => "sim_heap_maint",
-}
-
-macro_rules! event_kinds {
-    ($($(#[$doc:meta])* $variant:ident => $name:literal,)+) => {
-        /// A registered flight-recorder event kind. Each variant is one
-        /// row of the event taxonomy (DESIGN.md#flight-recorder); the wire
-        /// name (Chrome-trace `name` field) is [`EventKind::name`].
-        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-        #[repr(usize)]
-        pub enum EventKind {
-            $($(#[$doc])* $variant,)+
-        }
-
-        impl EventKind {
-            /// Number of registered event kinds.
-            pub const COUNT: usize = [$(EventKind::$variant),+].len();
-            /// Every kind, in registry order.
-            pub const ALL: [EventKind; Self::COUNT] = [$(EventKind::$variant),+];
-
-            /// Stable wire name of this event kind.
-            #[must_use]
-            pub fn name(self) -> &'static str {
-                match self { $(EventKind::$variant => $name,)+ }
-            }
-
-            /// Inverse of [`EventKind::name`].
-            #[must_use]
-            pub fn from_name(name: &str) -> Option<Self> {
-                match name { $($name => Some(EventKind::$variant),)+ _ => None }
-            }
-        }
-    };
-}
-
-event_kinds! {
-    /// An admission request was accepted (`a` task, `b` core, `c`
-    /// feasible-core bitmask of the direct-placement probe sweep).
-    AdmissionAdmit => "admission_admit",
-    /// An admission request was rejected (`a` task, `c` feasible-core
-    /// bitmask — zero unless repair found late feasibility).
-    AdmissionReject => "admission_reject",
-    /// A departure was processed (`a` task, `b` core it vacated).
-    AdmissionDepart => "admission_depart",
-    /// A repair relocation move was applied (`a` stuck task, `b` moved
-    /// task, `c` = from-core << 32 | to-core).
-    AdmissionRepair => "admission_repair",
-    /// A repair-candidate probe sweep started (`a` stuck task, `b` cores).
-    ProbeSweepBegin => "probe_sweep_begin",
-    /// A repair-candidate probe sweep finished (`a` stuck task, `b` = 1
-    /// when a relocation was found).
-    ProbeSweepEnd => "probe_sweep_end",
-    /// Simulator job release (`tick` time, `a` task, `b` job, `c`
-    /// absolute deadline).
-    SimRelease => "sim_release",
-    /// Simulator job completion (`tick` time, `a` task, `b` job, `c` = 1
-    /// when late).
-    SimComplete => "sim_complete",
-    /// Simulator mode switch / virtual-deadline budget expiry (`tick`
-    /// time, `a` overrunning task, `b` from-level, `c` to-level).
-    SimModeSwitch => "sim_mode_switch",
-    /// Simulator job drop at a mode switch (`tick` time, `a` task, `b`
-    /// job).
-    SimDrop => "sim_drop",
-    /// Simulator idle reset to level-1 operation (`tick` time).
-    SimIdleReset => "sim_idle_reset",
-    /// Simulator deadline miss (`tick` time, `a` task, `b` job).
-    SimDeadlineMiss => "sim_deadline_miss",
-    /// A harness trial closure started (`a` trial seed).
-    TrialBegin => "trial_begin",
-    /// A harness trial closure returned.
-    TrialEnd => "trial_end",
-    /// A checkpoint data line was flushed (`a` bytes written, including
-    /// the newline).
-    CheckpointWrite => "checkpoint_write",
 }
 
 /// Counter shards: concurrent writers are spread over this many copies of
@@ -384,10 +396,9 @@ pub fn timing_enabled() -> bool {
 }
 
 /// Turn the flight recorder on or off (the `--trace` flag and `mcs-exp
-/// trace` turn it on). No-op when the recorder is compiled out
-/// (`recorder-off`).
+/// trace` turn it on). No-op when telemetry is compiled out.
 pub fn set_tracing(on: bool) {
-    if crate::trace::RECORDER {
+    if COMPILED {
         TRACING.store(on, Ordering::Release);
     }
 }
@@ -396,7 +407,7 @@ pub fn set_tracing(on: bool) {
 #[inline]
 #[must_use]
 pub fn tracing_enabled() -> bool {
-    crate::trace::RECORDER && TRACING.load(Ordering::Relaxed)
+    COMPILED && TRACING.load(Ordering::Relaxed)
 }
 
 /// `Some(Instant::now())` when timing is on — the cheap way to time a
@@ -630,7 +641,8 @@ impl Snapshot {
 
     /// Sum of per-worker trial counts (should equal
     /// [`Counter::HarnessTrialsComputed`] at quiescence — the
-    /// `telemetry-consistency` audit rule checks exactly this).
+    /// `telemetry-consistency` check, `mcs_audit::check_counters`, tests
+    /// exactly this).
     #[must_use]
     pub fn worker_trials_sum(&self) -> u64 {
         self.workers.iter().map(|w| w.trials).sum()
@@ -649,11 +661,80 @@ mod tests {
         for p in Phase::ALL {
             assert_eq!(Phase::from_name(p.name()), Some(p));
         }
+        for k in EventKind::ALL {
+            assert_eq!(EventKind::from_name(k.name()), Some(k));
+        }
         assert_eq!(Counter::from_name("no_such_counter"), None);
+        assert_eq!(EventKind::from_name("no_such_kind"), None);
+    }
+
+    #[test]
+    fn event_table_rows_are_consistent() {
+        // Wire names are unique across the whole table, counters and
+        // kinds alike.
+        let names: Vec<&str> = Counter::ALL
+            .iter()
+            .map(|c| c.name())
+            .chain(EventKind::ALL.iter().map(|k| k.name()))
+            .collect();
+        let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), names.len(), "duplicate wire names in {names:?}");
+        // Each counted kind sits on exactly one counter's row, and the
+        // recorder-only kinds on none.
+        let counted: Vec<EventKind> = Counter::ALL.iter().filter_map(|c| c.kind()).collect();
+        let recorder_only = [
+            EventKind::TrialBegin,
+            EventKind::TrialEnd,
+            EventKind::ProbeSweepBegin,
+            EventKind::ProbeSweepEnd,
+            EventKind::AdmissionRepair,
+            EventKind::CheckpointWrite,
+        ];
+        for k in EventKind::ALL {
+            let rows = counted.iter().filter(|&&c| c == k).count();
+            assert_eq!(rows, usize::from(!recorder_only.contains(&k)), "{}", k.name());
+        }
+    }
+
+    #[test]
+    fn event_counts_and_records_each_counted_row() {
+        const N: u64 = 5;
+        let _lock = crate::test_lock();
+        let rows: Vec<(Counter, EventKind)> =
+            Counter::ALL.iter().filter_map(|&c| Some((c, c.kind()?))).collect();
+        assert_eq!(rows.len(), 9, "three admission and six simulator rows");
+        for tracing in [true, false] {
+            drop(crate::trace::drain_thread(0));
+            set_tracing(tracing);
+            let before = Snapshot::capture();
+            for &(c, _) in &rows {
+                for i in 0..N {
+                    crate::event!(c, i, 1, 2, 3);
+                }
+            }
+            let delta = Snapshot::capture().delta_since(&before);
+            set_tracing(false);
+            let log = crate::trace::drain_thread(0);
+            let counts = log.counts();
+            for &(c, k) in &rows {
+                let (counted, recorded) = match (COMPILED, tracing) {
+                    (false, _) => (0, 0),
+                    (true, true) => (N, N),
+                    (true, false) => (N, 0),
+                };
+                assert_eq!(delta.counter(c), counted, "{} (tracing {tracing})", c.name());
+                assert_eq!(counts[k as usize], recorded, "{} (tracing {tracing})", k.name());
+            }
+            if COMPILED && tracing {
+                let ev = log.events.iter().find(|e| e.kind == rows[0].1).expect("recorded");
+                assert_eq!((ev.tick, ev.a, ev.b, ev.c), (0, 1, 2, 3));
+            }
+        }
     }
 
     #[test]
     fn add_is_visible_in_snapshots() {
+        let _lock = crate::test_lock();
         let before = Snapshot::capture();
         add(Counter::SimIdleResets, 3);
         let after = Snapshot::capture();
@@ -704,6 +785,7 @@ mod tests {
 
     #[test]
     fn timing_gate_controls_now_if_timing() {
+        let _lock = crate::test_lock();
         set_timing(false);
         assert!(now_if_timing().is_none());
         set_timing(true);

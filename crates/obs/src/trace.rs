@@ -19,7 +19,7 @@
 //! slots. Overflow drops the *oldest* event and bumps the ring's drop
 //! counter, so after a drain the surviving sequence numbers always form
 //! the contiguous tail `[dropped, recorded)` — an invariant the
-//! `trace-consistency` audit rule and the ring-wrap tests below rely on.
+//! `trace-consistency` check and the ring-wrap tests below rely on.
 //! The harness runner drains each worker's ring after every trial closure
 //! ([`drain_thread`]) and folds the batches into the session's [`TraceLog`]
 //! in trial order, which is what makes the merged stream deterministic.
@@ -29,12 +29,7 @@ use std::fmt::Write as _;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use crate::registry::EventKind;
-
-/// Whether the flight recorder is compiled into this build. The recorder
-/// is always-on by default; the `recorder-off` feature is the kill switch
-/// that folds every record point down to nothing.
-pub const RECORDER: bool = cfg!(not(feature = "recorder-off"));
+use crate::registry::{Counter, EventKind};
 
 /// Ring capacity per thread, in events. A trial that records more than
 /// this between drains loses its oldest events (accounted, never silent).
@@ -194,11 +189,28 @@ thread_local! {
 
 /// Record one event on this thread's ring. One relaxed load and a branch
 /// when the recorder gate is off ([`crate::registry::set_tracing`]);
-/// nothing at all under `recorder-off`.
+/// nothing at all under `telemetry-off`. Counted events go through
+/// [`emit`] instead, which bumps the counter too.
 #[inline]
 pub fn record(kind: EventKind, tick: u64, a: u64, b: u64, c: u64) {
     if crate::registry::tracing_enabled() {
         record_on(kind, tick, a, b, c);
+    }
+}
+
+/// Emit one registered event (the [`crate::event!`] macro): bump
+/// `counter` by one and, when the recorder gate is on and the counter's
+/// registry row also declares a kind, record that kind with the payload.
+/// The gate is tested before the kind lookup, so a disarmed recorder
+/// costs the same one load and branch as [`record`], and with a constant
+/// `counter` the lookup folds away entirely.
+#[inline]
+pub fn emit(counter: Counter, tick: u64, a: u64, b: u64, c: u64) {
+    crate::registry::add(counter, 1);
+    if crate::registry::tracing_enabled() {
+        if let Some(kind) = counter.kind() {
+            record_on(kind, tick, a, b, c);
+        }
     }
 }
 
@@ -475,6 +487,7 @@ mod tests {
 
     #[test]
     fn record_is_gated_by_the_runtime_flag() {
+        let _lock = crate::test_lock();
         crate::registry::set_tracing(false);
         record(EventKind::SimIdleReset, 1, 0, 0, 0);
         assert!(drain_thread(0).is_empty());
@@ -482,7 +495,7 @@ mod tests {
         record(EventKind::SimIdleReset, 2, 0, 0, 0);
         crate::registry::set_tracing(false);
         let log = drain_thread(0);
-        if RECORDER {
+        if crate::COMPILED {
             assert_eq!(log.events.len(), 1);
             assert_eq!(log.events[0].tick, 2);
             assert_eq!(log.events[0].wall_ns, 0, "timing off ⇒ no wall annotation");

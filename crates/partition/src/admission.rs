@@ -368,13 +368,12 @@ impl AdmissionEngine {
             Some((m, util)) => {
                 self.place(id, m, util);
                 self.stats.admits += 1;
-                mcs_obs::counter!(Counter::AdmissionAdmits);
-                mcs_obs::trace::record(
-                    EventKind::AdmissionAdmit,
+                mcs_obs::event!(
+                    Counter::AdmissionAdmits,
                     0,
                     u64::from(id.0),
                     m as u64,
-                    self.engine.last_sweep_mask(),
+                    self.engine.last_sweep_mask()
                 );
                 Decision::Admitted {
                     core: CoreId(u16::try_from(m).expect("core fits u16")),
@@ -383,13 +382,12 @@ impl AdmissionEngine {
             }
             None => {
                 self.stats.rejects += 1;
-                mcs_obs::counter!(Counter::AdmissionRejects);
-                mcs_obs::trace::record(
-                    EventKind::AdmissionReject,
+                mcs_obs::event!(
+                    Counter::AdmissionRejects,
                     0,
                     u64::from(id.0),
                     0,
-                    self.engine.last_sweep_mask(),
+                    self.engine.last_sweep_mask()
                 );
                 Decision::Rejected
             }
@@ -408,8 +406,7 @@ impl AdmissionEngine {
         self.home[id.index()] = None;
         self.engine.refold_core(m, &self.members[m]);
         self.stats.departs += 1;
-        mcs_obs::counter!(Counter::AdmissionDeparts);
-        mcs_obs::trace::record(EventKind::AdmissionDepart, 0, u64::from(id.0), m as u64, 0);
+        mcs_obs::event!(Counter::AdmissionDeparts, 0, u64::from(id.0), m as u64, 0);
         true
     }
 

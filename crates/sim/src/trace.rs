@@ -141,64 +141,36 @@ impl Trace {
     ///
     /// Every simulator event flows through here whether or not the trace
     /// is enabled, so this is also the observability bridge: each event
-    /// kind bumps its [`mcs_obs`] counter and (when the flight recorder is
-    /// on) records one structured [`mcs_obs::TraceEvent`] before the
+    /// is one [`mcs_obs::event!`] — its counter bump plus, when the flight
+    /// recorder is on, one structured [`mcs_obs::TraceEvent`] — before the
     /// enabled check. Both engines share this single point, which is what
     /// makes their recorded streams identical whenever their [`Trace`]s
     /// are (DESIGN.md#tick-oracle-differential-contract).
     pub fn push(&mut self, event: TraceEvent) {
-        mcs_obs::counter!(match event {
-            TraceEvent::Release { .. } => mcs_obs::Counter::SimReleases,
-            TraceEvent::Complete { .. } => mcs_obs::Counter::SimCompletions,
-            TraceEvent::ModeSwitch { .. } => mcs_obs::Counter::SimModeSwitches,
-            TraceEvent::Drop { .. } => mcs_obs::Counter::SimDrops,
-            TraceEvent::IdleReset { .. } => mcs_obs::Counter::SimIdleResets,
-            TraceEvent::DeadlineMiss { .. } => mcs_obs::Counter::SimDeadlineMisses,
-        });
-        match event {
+        use mcs_obs::Counter;
+        let (counter, time, a, b, c) = match event {
             TraceEvent::Release { time, task, job, deadline } => {
-                mcs_obs::trace::record(
-                    mcs_obs::EventKind::SimRelease,
-                    time,
-                    task.0 as u64,
-                    job,
-                    deadline,
-                );
+                (Counter::SimReleases, time, task.0 as u64, job, deadline)
             }
             TraceEvent::Complete { time, task, job, late } => {
-                mcs_obs::trace::record(
-                    mcs_obs::EventKind::SimComplete,
-                    time,
-                    task.0 as u64,
-                    job,
-                    u64::from(late),
-                );
+                (Counter::SimCompletions, time, task.0 as u64, job, u64::from(late))
             }
-            TraceEvent::ModeSwitch { time, task, from, to } => {
-                mcs_obs::trace::record(
-                    mcs_obs::EventKind::SimModeSwitch,
-                    time,
-                    task.0 as u64,
-                    u64::from(from.get()),
-                    u64::from(to.get()),
-                );
-            }
+            TraceEvent::ModeSwitch { time, task, from, to } => (
+                Counter::SimModeSwitches,
+                time,
+                task.0 as u64,
+                u64::from(from.get()),
+                u64::from(to.get()),
+            ),
             TraceEvent::Drop { time, task, job } => {
-                mcs_obs::trace::record(mcs_obs::EventKind::SimDrop, time, task.0 as u64, job, 0);
+                (Counter::SimDrops, time, task.0 as u64, job, 0)
             }
-            TraceEvent::IdleReset { time } => {
-                mcs_obs::trace::record(mcs_obs::EventKind::SimIdleReset, time, 0, 0, 0);
-            }
+            TraceEvent::IdleReset { time } => (Counter::SimIdleResets, time, 0, 0, 0),
             TraceEvent::DeadlineMiss { time, task, job } => {
-                mcs_obs::trace::record(
-                    mcs_obs::EventKind::SimDeadlineMiss,
-                    time,
-                    task.0 as u64,
-                    job,
-                    0,
-                );
+                (Counter::SimDeadlineMisses, time, task.0 as u64, job, 0)
             }
-        }
+        };
+        mcs_obs::event!(counter, time, a, b, c);
         if self.enabled && self.events.len() < self.cap {
             self.events.push(event);
         }
