@@ -241,6 +241,44 @@ impl CoreBank {
         }
     }
 
+    /// Refill this bank with one lane per row of `minus`: lane `l` holds
+    /// core `m` of `src` with `minus[l]` taken out by the clamped
+    /// [`Self::remove`]. A [`batch_probe_verdicts`] sweep of the result
+    /// with `plus` is then, lane for lane, the scalar
+    /// `src.view(m).probe_swap_verdict(minus[l], plus)`: the `Swapped`
+    /// probe view clamps the removal first and adds `plus` on top, the
+    /// same operations in the same order. Padding lanes hold core `m`'s
+    /// unmodified sums (emitted verdicts never read them). Reuses the
+    /// plane buffer.
+    // lint: no_alloc
+    pub fn fill_removals(
+        &mut self,
+        src: &CoreBank,
+        m: usize,
+        minus: impl ExactSizeIterator<Item = TaskRow>,
+    ) {
+        assert!(m < src.cores);
+        let n = minus.len();
+        self.k = src.k;
+        self.cores = n;
+        self.stride = n.div_ceil(LANES) * LANES;
+        // Every plane a `k`-level kernel reads is overwritten below, the
+        // padding lanes included, so the buffer needs no zeroing.
+        self.planes.resize(TRI_LEN * self.stride, 0.0);
+        for j in 1..=src.k {
+            for kk in 1..=j {
+                let t = tri(j, kk);
+                let v = src.planes[t * src.stride + m];
+                self.planes[t * self.stride..][..self.stride].fill(v);
+            }
+        }
+        self.tasks.clear();
+        self.tasks.resize(n, src.tasks[m]);
+        for (l, row) in minus.enumerate() {
+            self.remove(l, &row);
+        }
+    }
+
     /// Zero core `m`'s triangle entries and row count — the per-core reset
     /// a departure refold starts from. Only core `m`'s strided slots are
     /// touched, so every other core's sums keep their exact bits.
@@ -337,13 +375,6 @@ impl CoreView<'_> {
         kernel(self, &Added(plus))
     }
 
-    /// Repair-move probe — mirrors [`CoreSums::probe_swap`].
-    #[must_use]
-    pub fn probe_swap(&self, minus: &TaskRow, plus: &TaskRow) -> Probe {
-        assert!(minus.level <= self.bank.k && plus.level <= self.bank.k);
-        kernel(self, &Swapped(minus, plus))
-    }
-
     /// Fused verdict of [`Self::evaluate`] — mirrors
     /// [`CoreSums::evaluate_verdict`].
     // lint: no_alloc
@@ -361,8 +392,8 @@ impl CoreView<'_> {
         kernel_verdict(self, &Added(plus))
     }
 
-    /// Fused verdict of [`Self::probe_swap`] — mirrors
-    /// [`CoreSums::probe_swap_verdict`].
+    /// Repair-move verdict: Theorem 1 on the core minus `minus` plus
+    /// `plus` — mirrors [`CoreSums::probe_swap_verdict`].
     // lint: no_alloc
     #[must_use]
     pub fn probe_swap_verdict(&self, minus: &TaskRow, plus: &TaskRow) -> Verdict {
@@ -876,6 +907,73 @@ mod tests {
                 &bank.view(m).probe_swap_verdict(&minus, &plus),
                 &oracle[m].probe_swap_verdict(&minus, &plus),
             );
+        }
+    }
+
+    #[test]
+    fn removal_bank_lanes_match_scalar_swap_probes_bitwise() {
+        const CORE: usize = 1;
+        for k in 1..=MAX_LEVELS {
+            // Tasks 0..18 sit on core 1, the medium tasks 18..23 on cores 0
+            // and 2. Task 23 is never placed: its utilization is 1.0 at
+            // every level, so taking it out of core 1 clamps every entry
+            // of its level at 0.
+            let mut tasks = Vec::new();
+            for i in 0..18u32 {
+                let level = 1 + (i as u8 % k);
+                let wcet: Vec<u64> =
+                    (1..=level).map(|j| 10 + 6 * u64::from(j) + u64::from(i)).collect();
+                tasks.push(task(i, 1000 + 37 * u64::from(i), level, &wcet));
+            }
+            for i in 18..23u32 {
+                let level = k - (i as u8 % k);
+                let wcet: Vec<u64> = (1..=level).map(|j| 60 + 40 * u64::from(j)).collect();
+                tasks.push(task(i, 400 + 13 * u64::from(i), level, &wcet));
+            }
+            tasks.push(task(23, 100, k, &vec![100; usize::from(k)]));
+            let ts = TaskSet::new(k, tasks).unwrap();
+            let mut table = TaskTable::new();
+            table.reset(&ts);
+            let mut bank = CoreBank::new();
+            bank.reset(k, 3);
+            let mut oracle = CoreSums::new(k);
+            for i in 0..18 {
+                bank.add(CORE, &table.row(i));
+                oracle.add(&table.row(i));
+            }
+            for i in 18..23 {
+                bank.add(2 * (i % 2), &table.row(i));
+            }
+            let heavy = table.row(23);
+            let top = CritLevel::new(k);
+            assert!(oracle.util_jk(top, top) < heavy.utils[usize::from(k - 1)], "clamp must fire");
+
+            let mut removals = CoreBank::new();
+            let mut out = Vec::new();
+            let mut seen = [false; 2];
+            for n in [1usize, 7, 8, 9, 17] {
+                let resident: Vec<TaskRow> = (0..n).map(|i| table.row(i)).collect();
+                let mut clamped = resident.clone();
+                clamped[n / 2] = heavy;
+                for minus in [&resident, &clamped] {
+                    removals.fill_removals(&bank, CORE, minus.iter().copied());
+                    assert_eq!(removals.num_cores(), n);
+                    for p in 0..table.len() {
+                        let plus = table.row(p);
+                        batch_probe_verdicts(&removals, &plus, &mut out);
+                        assert_eq!(out.len(), n);
+                        for (v, minus) in out.iter().zip(minus) {
+                            assert_verdicts_bit_equal(
+                                v,
+                                &bank.view(CORE).probe_swap_verdict(minus, &plus),
+                            );
+                            assert_verdicts_bit_equal(v, &oracle.probe_swap_verdict(minus, &plus));
+                            seen[usize::from(v.feasible())] = true;
+                        }
+                    }
+                }
+            }
+            assert_eq!(seen, [true, true], "K={k}: lanes must cover both verdicts");
         }
     }
 }

@@ -148,10 +148,13 @@ impl TelemetryPerf {
 
 /// Online admission throughput: arrival decisions per second through the
 /// [`AdmissionEngine`] under the CA-TPA policy, replaying deterministic
-/// lifecycle traces (the `mcs-exp admit` hot path). A decision is one
-/// `admit()` call — probe every core, select, commit (or repair/reject);
-/// departures ride along in the same stream but are not counted as
-/// decisions.
+/// lifecycle traces. A decision is one `admit()` call — probe every core,
+/// select, commit (or repair/reject); departures ride along in the same
+/// stream but are not counted as decisions. Measured twice: on the
+/// `mcs-exp admit` streams, where nearly every arrival is admitted
+/// directly, and on overloaded streams ([`OVERLOAD_TRACE`] at NSU 1.0),
+/// where about a quarter of the arrivals run the repair move search and
+/// are rejected.
 #[derive(Clone, Debug)]
 pub struct AdmissionPerf {
     /// Admission decisions per second over the timed stream.
@@ -268,6 +271,8 @@ pub struct PerfReport {
     pub runner: RunnerPerf,
     /// Online admission-stream throughput (the `mcs-exp admit` hot path).
     pub admission: AdmissionPerf,
+    /// The same replay on overloaded streams (the repair path).
+    pub admission_overload: AdmissionPerf,
     /// Flight-recorder overhead on the admission hot path (gate off vs on).
     pub recorder: RecorderPerf,
     /// Simulator-engine throughput (tick oracle vs discrete-event engine).
@@ -346,6 +351,12 @@ impl PerfReport {
             "-".into(),
             format!("{:.0}", self.admission.admissions_per_sec),
             format!("accept {:.3}", self.admission.accept_ratio),
+        ]);
+        t.push_row([
+            "admission overload (decisions/s)".into(),
+            "-".into(),
+            format!("{:.0}", self.admission_overload.admissions_per_sec),
+            format!("accept {:.3}", self.admission_overload.accept_ratio),
         ]);
         t.push_row([
             "flight recorder admission (dec/s)".into(),
@@ -451,6 +462,16 @@ impl PerfReport {
         let _ = writeln!(out, "  \"admission_accept_ratio\": {:.4},", self.admission.accept_ratio);
         let _ =
             writeln!(out, "  \"admission_state_identical\": {},", self.admission.state_identical);
+        let overload = &self.admission_overload;
+        let _ =
+            writeln!(out, "  \"admission_overload_per_sec\": {:.1},", overload.admissions_per_sec);
+        let _ =
+            writeln!(out, "  \"admission_overload_accept_ratio\": {:.4},", overload.accept_ratio);
+        let _ = writeln!(
+            out,
+            "  \"admission_overload_state_identical\": {},",
+            overload.state_identical
+        );
         let _ = writeln!(out, "  \"recorder_compiled\": {},", mcs_obs::COMPILED);
         let _ = writeln!(
             out,
@@ -881,17 +902,31 @@ fn runner_rates(
     RunnerPerf { inline_per_sec, runner_per_sec, dispatch_ns_per_trial: dispatch_overhead_ns(seed) }
 }
 
+/// Lifecycle traces of the overloaded admission replay: four times the
+/// default length and fewer departures, so the resident set fills the
+/// cores and arrivals strand (the `admit_overload` shape of `mcs-bench`).
+const OVERLOAD_TRACE: TraceParams = TraceParams { ops: 1024, depart_ratio: 0.25 };
+
+/// Task sets in the overloaded admission replay (each trace is four times
+/// as long and its rejects cost a repair search each).
+const OVERLOAD_SETS: usize = 32;
+
 /// Time the online admission hot path: one CA-TPA [`AdmissionEngine`]
-/// replays a deterministic lifecycle trace per task set (the exact
-/// `mcs-exp admit` per-trial work), repeated until [`MIN_TIMED`] elapses.
-/// The warm-up pass also evaluates the rebuild-identity gate and the
-/// accept ratio, so both are measured on the same streams the rate is.
-fn admission_rates(sets: &[TaskSet], cores: usize, seed: u64) -> AdmissionPerf {
-    let trace = TraceParams::default();
+/// replays a deterministic `trace`-shaped lifecycle trace per task set
+/// (with the default shape, the exact `mcs-exp admit` per-trial work),
+/// repeated until [`MIN_TIMED`] elapses. The warm-up pass also evaluates
+/// the rebuild-identity gate and the accept ratio, so both are measured on
+/// the same streams the rate is.
+fn admission_rates(
+    sets: &[TaskSet],
+    cores: usize,
+    trace: &TraceParams,
+    seed: u64,
+) -> AdmissionPerf {
     let traces: Vec<Vec<TraceOp>> = sets
         .iter()
         .enumerate()
-        .map(|(i, ts)| generate_trace(ts.len(), &trace, trial_seed(seed, i)))
+        .map(|(i, ts)| generate_trace(ts.len(), trace, trial_seed(seed, i)))
         .collect();
     let decisions_per_pass: u64 = traces
         .iter()
@@ -899,25 +934,11 @@ fn admission_rates(sets: &[TaskSet], cores: usize, seed: u64) -> AdmissionPerf {
         .sum();
 
     let mut engine = AdmissionEngine::new(AdmissionPolicy::catpa());
-    let replay = |engine: &mut AdmissionEngine, ts: &TaskSet, ops: &[TraceOp]| {
-        engine.reset(ts, cores);
-        for op in ops {
-            match *op {
-                TraceOp::Arrive(id) => {
-                    black_box(engine.admit(id).admitted());
-                }
-                TraceOp::Depart(id) => {
-                    black_box(engine.depart(id));
-                }
-            }
-        }
-    };
-
     // Warm-up pass doubles as the gate/ratio measurement.
     let (mut admits, mut rejects) = (0u64, 0u64);
     let mut state_identical = true;
     for (ts, ops) in sets.iter().zip(&traces) {
-        replay(&mut engine, ts, ops);
+        replay_set(&mut engine, ts, ops, cores, false);
         let stats = engine.stats();
         admits += stats.admits;
         rejects += stats.rejects;
@@ -928,9 +949,7 @@ fn admission_rates(sets: &[TaskSet], cores: usize, seed: u64) -> AdmissionPerf {
     let mut decisions = 0u64;
     let start = Instant::now();
     loop {
-        for (ts, ops) in sets.iter().zip(&traces) {
-            replay(&mut engine, ts, ops);
-        }
+        replay_in(&mut engine, sets, &traces, cores, false);
         decisions += decisions_per_pass;
         if start.elapsed() >= MIN_TIMED {
             break;
@@ -1040,8 +1059,7 @@ fn recorder_rates(sets: &[TaskSet], cores: usize, seed: u64) -> RecorderPerf {
     best.expect("RECORDER_ROUNDS > 0 ⇒ at least one measured round")
 }
 
-/// One full replay pass of every lifecycle trace (shared by the recorder
-/// windows, where the replay closure cannot be re-borrowed). When `drain`
+/// One full replay pass of every lifecycle trace. When `drain`
 /// is set, the thread ring is drained and discarded after every set —
 /// the production cadence: the harness runner drains each worker's ring
 /// at every trial closure, so the ring never grows past one trial's
@@ -1224,7 +1242,13 @@ pub fn run(config: &SweepConfig) -> PerfReport {
     let engine_per_sec = n / eng_total;
 
     let runner = runner_rates(&params, &engine, batch, config.seed);
-    let admission = admission_rates(&sets, params.cores, config.seed);
+    let admission = admission_rates(&sets, params.cores, &TraceParams::default(), config.seed);
+    let overload_params = params.clone().with_nsu(1.0);
+    let overload_sets: Vec<TaskSet> = (0..batch.min(OVERLOAD_SETS))
+        .map(|i| generate_task_set(&overload_params, config.seed + i as u64))
+        .collect();
+    let admission_overload =
+        admission_rates(&overload_sets, params.cores, &OVERLOAD_TRACE, config.seed);
     let recorder = recorder_rates(&sets, params.cores, config.seed);
     let sim = sim_rates();
 
@@ -1246,6 +1270,7 @@ pub fn run(config: &SweepConfig) -> PerfReport {
         engine_per_sec,
         runner,
         admission,
+        admission_overload,
         recorder,
         sim,
         sweep_trials_per_sec,
@@ -1332,13 +1357,14 @@ pub fn history_line(r: &PerfReport) -> String {
     format!(
         "{{\"git\":\"{}\",\"build_profile\":\"{}\",\"probe_path_engine_per_sec\":{:.1},\
          \"engine_partitions_per_sec\":{:.1},\"admissions_per_sec\":{:.1},\
-         \"sim_events_per_sec\":{:.1},\"sweep_trials_per_sec\":{:.1},\
+         \"admission_overload_per_sec\":{:.1},\"sim_events_per_sec\":{:.1},\"sweep_trials_per_sec\":{:.1},\
          \"recorder_admission_overhead_pct\":{:.2}}}",
         mcs_harness::json::escape(&mcs_obs::git_describe()),
         if cfg!(debug_assertions) { "debug" } else { "release" },
         r.probe.batch_per_sec,
         r.engine_per_sec,
         r.admission.admissions_per_sec,
+        r.admission_overload.admissions_per_sec,
         r.sim.event_events_per_sec,
         r.sweep_trials_per_sec,
         r.recorder.overhead_pct(),
@@ -1371,6 +1397,10 @@ mod tests {
         assert!(r.admission.admissions_per_sec > 0.0);
         assert!(r.admission.accept_ratio > 0.0 && r.admission.accept_ratio <= 1.0);
         assert!(r.admission.state_identical, "admission state drifted from the rebuild");
+        let overload = &r.admission_overload;
+        assert!(overload.admissions_per_sec > 0.0);
+        assert!(overload.accept_ratio < r.admission.accept_ratio, "overload must reject more");
+        assert!(overload.state_identical, "overloaded admission drifted from the rebuild");
         assert!(r.sim.trace_identical, "event engine diverged from the tick oracle");
         assert!(r.sim.events_per_run > 0);
         assert!(r.sim.tick_events_per_sec > 0.0 && r.sim.event_events_per_sec > 0.0);
@@ -1386,6 +1416,9 @@ mod tests {
         assert!(json.contains("\"admissions_per_sec\""));
         assert!(json.contains("\"admission_accept_ratio\""));
         assert!(json.contains("\"admission_state_identical\": true"));
+        assert!(json.contains("\"admission_overload_per_sec\""));
+        assert!(json.contains("\"admission_overload_accept_ratio\""));
+        assert!(json.contains("\"admission_overload_state_identical\": true"));
         assert!(json.contains("\"sim_events_per_sec\""));
         assert!(json.contains("\"sim_tick_events_per_sec\""));
         assert!(json.contains("\"sim_event_speedup\""));
@@ -1431,5 +1464,6 @@ mod tests {
         let line = history_line(&r);
         assert!(mcs_harness::json::parse(&line).is_ok(), "{line}");
         assert!(line.contains("\"recorder_admission_overhead_pct\""), "{line}");
+        assert!(line.contains("\"admission_overload_per_sec\""), "{line}");
     }
 }

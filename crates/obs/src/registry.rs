@@ -202,8 +202,8 @@ events! {
     /// sweep).
     AdmissionAdmits => "admission_admits", record AdmissionAdmit => "admission_admit";
     /// Admission requests rejected: no core could absorb the task (`a`
-    /// task, `c` feasible-core bitmask — zero unless repair found late
-    /// feasibility).
+    /// task, `c` feasible-core bitmask of the select sweep — zero, since
+    /// the repair search's sweeps never overwrite it).
     AdmissionRejects => "admission_rejects", record AdmissionReject => "admission_reject";
     /// Departures processed by the admission engine (`a` task, `b` core
     /// it vacated).

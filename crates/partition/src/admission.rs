@@ -9,9 +9,10 @@
 //! * [`AdmissionEngine::admit`] — probe every core in one batch sweep,
 //!   pick a target under the configured [`AdmissionPolicy`], commit the
 //!   placement in O(K), and return the [`Decision`]. When no core can
-//!   absorb the task directly, a repair move search (the `repair.rs`
-//!   relocation, seeded from the engine's **live** sums — no rebuild)
-//!   tries to relocate one resident task to make room;
+//!   absorb the task directly, the repair move search
+//!   ([`ProbeEngine::find_repair_move`], shared with [`crate::CatpaLs`],
+//!   run on the engine's **live** sums — no rebuild) tries to relocate
+//!   one resident task to make room;
 //! * [`AdmissionEngine::depart`] — remove a resident task. Departures
 //!   *refold* the affected core: its sums are cleared and the survivors
 //!   re-accumulated in arrival order, so the live state is bit-identical
@@ -285,12 +286,10 @@ impl AdmissionEngine {
         self.home[id.index()] = Some(u16::try_from(m).expect("core fits u16"));
     }
 
-    /// Try one relocation making room for `stuck` — the `repair.rs` move
-    /// search run against the engine's live sums (no rebuild): for every
-    /// core `m` and resident `τ'` on `m` (smallest own-level utilization
-    /// first), apply the first move where `stuck` fits on `m` without
-    /// `τ'` and `τ'` fits elsewhere. The eviction side refolds core `m`,
-    /// so the post-repair state keeps the rebuild-identity contract.
+    /// Try one relocation making room for `stuck` — the shared move
+    /// search ([`ProbeEngine::find_repair_move`]) run against the engine's
+    /// live sums (no rebuild). The eviction side refolds core `m`, so the
+    /// post-repair state keeps the rebuild-identity contract.
     fn repair(&mut self, stuck: TaskId) -> Option<(usize, f64)> {
         let _timer = mcs_obs::span(Phase::AdmissionRepair);
         mcs_obs::trace::record(
@@ -300,54 +299,37 @@ impl AdmissionEngine {
             self.engine.num_cores() as u64,
             0,
         );
-        for m in 0..self.engine.num_cores() {
-            let mut candidates = self.members[m].clone();
-            candidates.sort_by(|a, b| {
-                self.engine
-                    .util_own(*a)
-                    .partial_cmp(&self.engine.util_own(*b))
-                    .expect("utilizations are finite")
-            });
-            for cand in candidates {
-                // (a) Would `stuck` fit on m without `cand`?
-                if !self.engine.probe_swap_verdict(m, cand, stuck).feasible() {
-                    continue;
-                }
-                // (b) Does `cand` fit elsewhere?
-                let target = (0..self.engine.num_cores())
-                    .find(|&m2| m2 != m && self.engine.probe_verdict(m2, cand).feasible());
-                let Some(m2) = target else { continue };
-                self.engine.note_repair_move();
-                self.stats.repair_moves += 1;
-                mcs_obs::trace::record(
-                    EventKind::AdmissionRepair,
-                    0,
-                    u64::from(stuck.0),
-                    u64::from(cand.0),
-                    ((m as u64) << 32) | m2 as u64,
-                );
-                // Evict `cand` by refolding m's survivors (exact state).
-                self.members[m].retain(|t| *t != cand);
-                self.home[cand.index()] = None;
-                self.engine.refold_core(m, &self.members[m]);
-                // Re-place `cand` on its new core, then `stuck` on m.
-                let cand_u = self
-                    .engine
-                    .probe_verdict(m2, cand)
-                    .core_utilization
-                    .expect("repair target was probed feasible");
-                self.place(cand, m2, cand_u);
-                let stuck_u = self
-                    .engine
-                    .probe_verdict(m, stuck)
-                    .core_utilization
-                    .expect("stuck fits on the vacated core by the swap probe");
-                mcs_obs::trace::record(EventKind::ProbeSweepEnd, 0, u64::from(stuck.0), 1, 0);
-                return Some((m, stuck_u));
-            }
-        }
-        mcs_obs::trace::record(EventKind::ProbeSweepEnd, 0, u64::from(stuck.0), 0, 0);
-        None
+        let Some((m, cand, m2)) = self.engine.find_repair_move(stuck, &self.members) else {
+            mcs_obs::trace::record(EventKind::ProbeSweepEnd, 0, u64::from(stuck.0), 0, 0);
+            return None;
+        };
+        self.engine.note_repair_move();
+        self.stats.repair_moves += 1;
+        mcs_obs::trace::record(
+            EventKind::AdmissionRepair,
+            0,
+            u64::from(stuck.0),
+            u64::from(cand.0),
+            ((m as u64) << 32) | m2 as u64,
+        );
+        // Evict `cand` by refolding m's survivors (exact state).
+        self.members[m].retain(|t| *t != cand);
+        self.home[cand.index()] = None;
+        self.engine.refold_core(m, &self.members[m]);
+        // Re-place `cand` on its new core, then `stuck` on m.
+        let cand_u = self
+            .engine
+            .probe_verdict(m2, cand)
+            .core_utilization
+            .expect("repair target was probed feasible");
+        self.place(cand, m2, cand_u);
+        let stuck_u = self
+            .engine
+            .probe_verdict(m, stuck)
+            .core_utilization
+            .expect("stuck fits on the vacated core by the swap probe");
+        mcs_obs::trace::record(EventKind::ProbeSweepEnd, 0, u64::from(stuck.0), 1, 0);
+        Some((m, stuck_u))
     }
 
     /// Process one admission request: probe, select under the policy,
@@ -632,6 +614,75 @@ mod tests {
         for t in p.core_tables(&ts) {
             assert!(Theorem1::compute(&t).feasible());
         }
+    }
+
+    /// The `c` payload of the decision event recorded for `id` while
+    /// `admit` runs with the flight recorder on.
+    fn traced_decision_mask(engine: &mut AdmissionEngine, id: TaskId) -> (EventKind, u64) {
+        let was = mcs_obs::tracing_enabled();
+        drop(mcs_obs::trace::drain_thread(0));
+        mcs_obs::set_tracing(true);
+        engine.admit(id);
+        mcs_obs::set_tracing(was);
+        let log = mcs_obs::trace::drain_thread(0);
+        let ev = log
+            .events
+            .iter()
+            .find(|e| {
+                matches!(e.kind, EventKind::AdmissionAdmit | EventKind::AdmissionReject)
+                    && e.a == u64::from(id.0)
+            })
+            .expect("admit records its decision");
+        (ev.kind, ev.c)
+    }
+
+    #[test]
+    fn repair_sweeps_keep_the_select_sweep_mask() {
+        if !mcs_obs::COMPILED {
+            return;
+        }
+        // Successful repair (the strandable stream above): the relocation
+        // sweep finds core 2 feasible for the moved task, but the admit
+        // event still carries the select sweep's mask, which is empty.
+        let utils = [60u64, 32, 16, 8, 44, 24];
+        let ts = TaskSet::new(
+            1,
+            utils
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| task(u32::try_from(i).unwrap(), 64, 1, &[c]))
+                .collect(),
+        )
+        .unwrap();
+        let mut engine = AdmissionEngine::new(AdmissionPolicy::named("FFD").unwrap());
+        engine.reset(&ts, 3);
+        for id in 0..5 {
+            assert!(engine.admit(TaskId(id)).admitted());
+        }
+        assert_eq!(traced_decision_mask(&mut engine, TaskId(5)), (EventKind::AdmissionAdmit, 0));
+        assert_eq!(engine.stats().repair_moves, 1);
+
+        // Failed repair: core 0 = {0.50, 0.05}, core 1 = {0.97}. Moving the
+        // 0.05 task out of core 0 would make room, and its relocation sweep
+        // finds core 0 itself feasible, but no other core; the reject
+        // event still carries the empty select mask.
+        let ts = TaskSet::new(
+            1,
+            vec![
+                task(0, 100, 1, &[50]),
+                task(1, 100, 1, &[5]),
+                task(2, 100, 1, &[97]),
+                task(3, 100, 1, &[50]),
+            ],
+        )
+        .unwrap();
+        let mut engine = AdmissionEngine::new(AdmissionPolicy::named("FFD").unwrap());
+        engine.reset(&ts, 2);
+        for id in 0..3 {
+            assert!(engine.admit(TaskId(id)).admitted());
+        }
+        assert_eq!(traced_decision_mask(&mut engine, TaskId(3)), (EventKind::AdmissionReject, 0));
+        assert_eq!(engine.stats().repair_moves, 0);
     }
 
     #[test]

@@ -89,6 +89,14 @@ pub struct ProbeEngine {
     min_util: f64,
     /// Reusable output buffer of [`Self::probe_all_cores`].
     probes: Vec<Verdict>,
+    /// Repair search scratch ([`Self::find_repair_move`]): one core's
+    /// resident candidates in search order, the removal bank holding one
+    /// lane per candidate, and the verdict buffers of its swap-stage and
+    /// relocation-stage sweeps.
+    repair_cands: Vec<TaskId>,
+    removals: CoreBank,
+    swap_verdicts: Vec<Verdict>,
+    reloc_verdicts: Vec<Verdict>,
     /// Feasible-core bitmask of the most recent full sweep, maintained
     /// only while the flight recorder is on (cores ≥ 64 fold out of the
     /// mask). Admission decision events carry it as their verdict payload.
@@ -179,6 +187,21 @@ impl ProbeEngine {
         }
     }
 
+    /// Count one batch sweep: one call, its lane slots, and one decided
+    /// probe per emitted verdict.
+    #[inline]
+    fn note_sweep(&self, verdicts: &[Verdict], lane_slots: usize) {
+        if mcs_obs::compiled() {
+            let issued = verdicts.len() as u64;
+            let feasible = verdicts.iter().filter(|v| v.feasible()).count() as u64;
+            bump(&self.tally.batch_calls, 1);
+            bump(&self.tally.batch_lanes, lane_slots as u64);
+            bump(&self.tally.issued, issued);
+            bump(&self.tally.feasible, feasible);
+            bump(&self.tally.rejected, issued - feasible);
+        }
+    }
+
     /// Count one placement attempt (one task a scheme tried to place).
     #[inline]
     pub(crate) fn note_attempt(&self) {
@@ -249,15 +272,7 @@ impl ProbeEngine {
             let _kernel = mcs_obs::span(Phase::BatchKernel);
             batch_probe_verdicts(&self.bank, &row, &mut self.probes);
         }
-        if mcs_obs::compiled() {
-            let issued = self.probes.len() as u64;
-            let feasible = self.probes.iter().filter(|v| v.feasible()).count() as u64;
-            bump(&self.tally.batch_calls, 1);
-            bump(&self.tally.batch_lanes, self.bank.lane_slots() as u64);
-            bump(&self.tally.issued, issued);
-            bump(&self.tally.feasible, feasible);
-            bump(&self.tally.rejected, issued - feasible);
-        }
+        self.note_sweep(&self.probes, self.bank.lane_slots());
         if mcs_obs::tracing_enabled() {
             let mut mask = 0u64;
             for (m, v) in self.probes.iter().enumerate().take(64) {
@@ -278,14 +293,9 @@ impl ProbeEngine {
         self.last_sweep_mask
     }
 
-    /// Repair-move probe: Theorem 1 on `Ψ_m ∖ {minus} ∪ {plus}`.
-    /// Reference path, not telemetry-counted.
-    #[must_use]
-    pub fn probe_swap(&self, m: usize, minus: TaskId, plus: TaskId) -> Probe {
-        self.bank.view(m).probe_swap(&self.tasks.row(minus.index()), &self.tasks.row(plus.index()))
-    }
-
-    /// Fused repair-move probe — the repair loop's hot path.
+    /// Scalar repair-move probe: Theorem 1 on `Ψ_m ∖ {minus} ∪ {plus}`.
+    /// The oracle the swap stage of [`Self::find_repair_move`] is tested
+    /// against; no placement path calls it.
     // lint: no_alloc
     #[must_use]
     pub fn probe_swap_verdict(&self, m: usize, minus: TaskId, plus: TaskId) -> Verdict {
@@ -294,6 +304,74 @@ impl ProbeEngine {
         let v = self.bank.view(m).probe_swap_verdict(&minus, &plus);
         self.note_probe(v.feasible());
         v
+    }
+
+    /// The repair move search shared by the admission engine and
+    /// [`crate::CatpaLs`]: the first relocation `(m, cand, m2)` that makes
+    /// room for `stuck`, or `None`. Cores `m` are tried in index order and
+    /// the residents `members[m]` of each smallest own-level utilization
+    /// first (a stable sort, so ties keep list order); a move needs
+    /// `stuck` to fit on `m` without `cand` and `cand` to fit on a core
+    /// `m2 ≠ m`, the lowest-index one being taken. The search only probes:
+    /// the caller applies the move.
+    ///
+    /// Both stages run on the batch kernel. The swap stage fills the
+    /// removal bank with one lane per candidate of core `m` (core `m`'s
+    /// sums minus that candidate, [`CoreBank::fill_removals`]) and sweeps
+    /// it once with `stuck`'s row — lane for lane the scalar
+    /// [`Self::probe_swap_verdict`]. The relocation stage sweeps all cores
+    /// once per swap-feasible candidate, in order, into a private buffer:
+    /// [`Self::last_sweep_mask`] keeps the select sweep's mask. Every
+    /// sweep is counted like a [`Self::probe_all_cores`] call.
+    // lint: no_alloc
+    pub fn find_repair_move(
+        &mut self,
+        stuck: TaskId,
+        members: &[Vec<TaskId>],
+    ) -> Option<(usize, TaskId, usize)> {
+        debug_assert_eq!(members.len(), self.num_cores());
+        let stuck = self.tasks.row(stuck.index());
+        for (m, residents) in members.iter().enumerate() {
+            if residents.is_empty() {
+                continue;
+            }
+            let tasks = &self.tasks;
+            self.repair_cands.clear();
+            self.repair_cands.extend_from_slice(residents);
+            self.repair_cands.sort_by(|a, b| {
+                tasks
+                    .util_own(a.index())
+                    .partial_cmp(&tasks.util_own(b.index()))
+                    .expect("utilizations are finite")
+            });
+            self.removals.fill_removals(
+                &self.bank,
+                m,
+                self.repair_cands.iter().map(|id| tasks.row(id.index())),
+            );
+            batch_probe_verdicts(&self.removals, &stuck, &mut self.swap_verdicts);
+            self.note_sweep(&self.swap_verdicts, self.removals.lane_slots());
+            for (&cand, swap) in self.repair_cands.iter().zip(&self.swap_verdicts) {
+                if !swap.feasible() {
+                    continue;
+                }
+                batch_probe_verdicts(
+                    &self.bank,
+                    &tasks.row(cand.index()),
+                    &mut self.reloc_verdicts,
+                );
+                self.note_sweep(&self.reloc_verdicts, self.bank.lane_slots());
+                let target = self
+                    .reloc_verdicts
+                    .iter()
+                    .enumerate()
+                    .position(|(m2, v)| m2 != m && v.feasible());
+                if let Some(m2) = target {
+                    return Some((m, cand, m2));
+                }
+            }
+        }
+        None
     }
 
     /// The Eq. (4) own-level total of `Ψ_m ∪ {task}` — the cheap first
@@ -492,6 +570,8 @@ pub struct PlacementScratch {
     pub loads: Vec<f64>,
     /// Core-index ranking buffer (best/worst fit load-ordered probing).
     pub rank: Vec<usize>,
+    /// Per-core resident lists in placement order (CA-TPA+LS repair).
+    pub members: Vec<Vec<TaskId>>,
 }
 
 impl PlacementScratch {

@@ -8,7 +8,8 @@
 //! task `τ'` currently on `m`, check whether (a) `τ` fits on `m` once `τ'`
 //! is removed and (b) `τ'` fits on some other core. The first such move is
 //! applied. Each repair consumes one unit of the move budget; placement
-//! then continues greedily.
+//! then continues greedily. The search is [`ProbeEngine::find_repair_move`],
+//! the batched one the online admission engine runs too.
 
 use mcs_model::{CoreId, Partition, TaskId, TaskSet};
 
@@ -33,9 +34,8 @@ impl Default for CatpaLs {
 }
 
 struct LsState<'a, 'e> {
-    ts: &'a TaskSet,
     engine: &'e mut ProbeEngine,
-    members: Vec<Vec<TaskId>>,
+    members: &'a mut [Vec<TaskId>],
     partition: Partition,
 }
 
@@ -64,36 +64,18 @@ impl LsState<'_, '_> {
         self.partition.unassign(id);
     }
 
-    /// Try one relocation that makes room for `stuck`. Returns true if a
-    /// move was applied (the stuck task is then placed too).
+    /// Try one relocation that makes room for `stuck` (the shared
+    /// [`ProbeEngine::find_repair_move`]). Returns true if a move was
+    /// applied (the stuck task is then placed too).
     fn repair(&mut self, stuck: TaskId) -> bool {
-        for m in 0..self.engine.num_cores() {
-            // Candidates currently on m, smallest first: cheap moves first.
-            let mut candidates = self.members[m].clone();
-            candidates.sort_by(|a, b| {
-                self.ts
-                    .task(*a)
-                    .util_own()
-                    .partial_cmp(&self.ts.task(*b).util_own())
-                    .expect("finite")
-            });
-            for cand in candidates {
-                // (a) Would `stuck` fit on m without `cand`?
-                if !self.engine.probe_swap_verdict(m, cand, stuck).feasible() {
-                    continue;
-                }
-                // (b) Does `cand` fit elsewhere?
-                let target = (0..self.engine.num_cores())
-                    .find(|&m2| m2 != m && self.engine.probe_verdict(m2, cand).feasible());
-                let Some(m2) = target else { continue };
-                self.engine.note_repair_move();
-                self.evict(cand, m);
-                self.commit(cand, m2);
-                self.commit(stuck, m);
-                return true;
-            }
-        }
-        false
+        let Some((m, cand, m2)) = self.engine.find_repair_move(stuck, self.members) else {
+            return false;
+        };
+        self.engine.note_repair_move();
+        self.evict(cand, m);
+        self.commit(cand, m2);
+        self.commit(stuck, m);
+        true
     }
 }
 
@@ -112,10 +94,11 @@ impl Partitioner for CatpaLs {
                 &mut scratch.order,
             );
             scratch.engine.reset(ts, cores);
+            scratch.members.resize_with(cores, Vec::new);
+            scratch.members.iter_mut().for_each(Vec::clear);
             let mut state = LsState {
-                ts,
                 engine: &mut scratch.engine,
-                members: vec![Vec::new(); cores],
+                members: &mut scratch.members,
                 partition: Partition::empty(cores, ts.len()),
             };
             let mut moves_left = self.move_budget;

@@ -12,10 +12,10 @@ use proptest::prelude::*;
 
 use mcs::analysis::{batch_probe_verdicts, CoreBank, CoreSums, TaskRow, Theorem1, Verdict};
 use mcs::gen::{generate_task_set, GenParams, WcetGrowth};
-use mcs::model::{LevelUtils, Partition, TaskSet, UtilTable, WithTask};
+use mcs::model::{LevelUtils, Partition, TaskId, TaskSet, UtilTable, WithTask};
 use mcs::partition::{
     paper_schemes, paper_schemes_weak, reference_paper_schemes, FitTest, Hybrid, PartitionFailure,
-    Partitioner, ReferenceBinPacker, ReferenceCatpa, ReferenceHybrid,
+    Partitioner, ProbeEngine, ReferenceBinPacker, ReferenceCatpa, ReferenceHybrid,
 };
 
 fn bits(v: Option<f64>) -> Option<u64> {
@@ -439,6 +439,110 @@ proptest! {
             }
             assert_batch_matches_scalar(&bank, &sums, &rows, &format!("{ctx} churned"))?;
         }
+    }
+}
+
+/// The repair move search as both repair loops ran it before the shared
+/// batched search: per core, the residents cloned and sorted by own-level
+/// utilization, one scalar swap probe per candidate, then scalar probes of
+/// the other cores in index order.
+fn scalar_repair_move(
+    engine: &ProbeEngine,
+    stuck: TaskId,
+    members: &[Vec<TaskId>],
+) -> Option<(usize, TaskId, usize)> {
+    for (m, residents) in members.iter().enumerate() {
+        let mut candidates = residents.clone();
+        candidates
+            .sort_by(|a, b| engine.util_own(*a).partial_cmp(&engine.util_own(*b)).expect("finite"));
+        for cand in candidates {
+            if !engine.probe_swap_verdict(m, cand, stuck).feasible() {
+                continue;
+            }
+            let target = (0..engine.num_cores())
+                .find(|&m2| m2 != m && engine.probe_verdict(m2, cand).feasible());
+            if let Some(m2) = target {
+                return Some((m, cand, m2));
+            }
+        }
+    }
+    None
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The shared batched repair search returns exactly the move (or the
+    /// `None`) of the scalar reference loop on churned engine states at
+    /// K ∈ {2..8}. Arrivals go first-fit and, when no core fits, ask both
+    /// searches; the found move is then applied so later states hold
+    /// relocated tasks. Departures alternate between the admission
+    /// engine's refold and the clamped eviction CA-TPA+LS uses, so both
+    /// removal paths' bits reach the search.
+    #[test]
+    fn batched_repair_search_matches_the_scalar_loop(seed in any::<u64>()) {
+        use mcs::gen::{generate_trace, TraceOp, TraceParams};
+
+        let mut stuck_total = 0usize;
+        for k in 2u8..=8 {
+            let cores = 4usize;
+            let params = GenParams::default()
+                .with_n_range(24, 48)
+                .with_cores(cores)
+                .with_levels(k)
+                .with_nsu(1.0); // overloaded, so arrivals strand
+            let ts = generate_task_set(&params, seed);
+            let ops = generate_trace(
+                ts.len(),
+                &TraceParams { ops: 160, depart_ratio: 0.25 },
+                seed ^ u64::from(k),
+            );
+            let mut engine = ProbeEngine::new();
+            engine.reset(&ts, cores);
+            let mut members: Vec<Vec<TaskId>> = vec![Vec::new(); cores];
+            let mut home: Vec<Option<usize>> = vec![None; ts.len()];
+            for (step, op) in ops.iter().enumerate() {
+                let ctx = format!("K={k} seed={seed} step={step}");
+                match *op {
+                    TraceOp::Arrive(id) => {
+                        let (verdicts, _) = engine.probe_all_cores(id);
+                        let direct = verdicts
+                            .iter()
+                            .enumerate()
+                            .find_map(|(m, v)| v.core_utilization.map(|u| (m, u)));
+                        if let Some((m, u)) = direct {
+                            engine.commit(id, m, u);
+                            members[m].push(id);
+                            home[id.index()] = Some(m);
+                            continue;
+                        }
+                        stuck_total += 1;
+                        let expected = scalar_repair_move(&engine, id, &members);
+                        let found = engine.find_repair_move(id, &members);
+                        prop_assert_eq!(found, expected, "{}", &ctx);
+                        let Some((m, cand, m2)) = found else { continue };
+                        members[m].retain(|t| *t != cand);
+                        engine.refold_core(m, &members[m]);
+                        for (id, to) in [(cand, m2), (id, m)] {
+                            let u = engine.probe_verdict(to, id).core_utilization.unwrap();
+                            engine.commit(id, to, u);
+                            members[to].push(id);
+                            home[id.index()] = Some(to);
+                        }
+                    }
+                    TraceOp::Depart(id) => {
+                        let Some(m) = home[id.index()].take() else { continue };
+                        members[m].retain(|t| *t != id);
+                        if step % 2 == 0 {
+                            engine.refold_core(m, &members[m]);
+                        } else {
+                            engine.evict(id, m);
+                        }
+                    }
+                }
+            }
+        }
+        prop_assert!(stuck_total > 0, "seed {} stranded no arrival", seed);
     }
 }
 
