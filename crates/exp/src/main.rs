@@ -711,34 +711,27 @@ fn run_command(cmd: &str, opts: &Options, trace_acc: &mut TraceLog) -> Result<()
                 if opts.check { ", checking against BENCH_partition.json" } else { "" }
             );
             let r = mcs_exp::perf::run(&opts.config);
-            let json = r.to_json();
             if opts.json {
-                print!("{json}");
+                print!("{}", r.to_json());
             } else {
-                print_table(
-                    "Perf — probe-path throughput (reference vs engine)",
-                    &r.table(),
-                    opts.csv,
-                );
-                println!(
-                    "partitions identical: {}; sweep: {:.0} trials/s ({} trials, {} threads)",
-                    r.identical, r.sweep_trials_per_sec, r.sweep_trials, r.sweep_threads
-                );
+                print_table("Perf — throughput, identity and overhead gates", &r.table(), opts.csv);
             }
-            if opts.check {
-                // Gate mode: never overwrites the recorded baseline.
+            // Record mode writes nothing unless every identity bit and
+            // budget holds; check mode never overwrites the baseline.
+            let outcome = if opts.check {
                 let baseline = std::fs::read_to_string("BENCH_partition.json")
                     .map_err(|e| format!("cannot read BENCH_partition.json: {e}"))?;
-                let outcome = mcs_exp::perf::check_against_baseline(&baseline, &r)?;
-                for f in &outcome.failures {
-                    eprintln!("[mcs-exp] perf regression: {f}");
-                }
-                if !outcome.failures.is_empty() {
-                    return Err(format!(
-                        "perf check failed: {} regression(s) vs BENCH_partition.json",
-                        outcome.failures.len()
-                    ));
-                }
+                mcs_exp::perf::check_against_baseline(&baseline, &r).map_err(|e| e.to_string())?
+            } else {
+                mcs_exp::perf::record(&r, Path::new("."))?
+            };
+            for f in &outcome.failures {
+                eprintln!("[mcs-exp] perf regression: {f}");
+            }
+            if !outcome.failures.is_empty() {
+                return Err(format!("perf failed {} gate(s)", outcome.failures.len()));
+            }
+            if opts.check {
                 eprintln!(
                     "[mcs-exp] perf check passed: {} baseline gates hold \
                      (throughput tolerance {:.0}%)",
@@ -746,42 +739,7 @@ fn run_command(cmd: &str, opts: &Options, trace_acc: &mut TraceLog) -> Result<()
                     100.0 * (1.0 - mcs_exp::perf::CHECK_TOLERANCE)
                 );
             } else {
-                std::fs::write("BENCH_partition.json", &json)
-                    .map_err(|e| format!("cannot write BENCH_partition.json: {e}"))?;
-                let line = mcs_exp::perf::history_line(&r);
-                let mut history = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open("BENCH_history.jsonl")
-                    .map_err(|e| format!("cannot open BENCH_history.jsonl: {e}"))?;
-                use std::io::Write as _;
-                writeln!(history, "{line}")
-                    .map_err(|e| format!("cannot append BENCH_history.jsonl: {e}"))?;
-                eprintln!(
-                    "[mcs-exp] wrote BENCH_partition.json (probe path {:.2}x, schemes {:.2}x) \
-                     and appended BENCH_history.jsonl",
-                    r.probe.speedup(),
-                    r.speedup()
-                );
-            }
-            if !r.identical {
-                return Err("reference and engine paths disagreed on some partition".into());
-            }
-            if !r.probe.batch_matches_scalar {
-                return Err("batch kernel and scalar probe verdicts disagreed".into());
-            }
-            if !r.admission.state_identical {
-                return Err("admission engine state drifted from the from-scratch rebuild".into());
-            }
-            if !r.sim.trace_identical {
-                return Err("event-engine simulator trace diverged from the tick oracle".into());
-            }
-            if mcs_obs::compiled() && r.recorder.overhead_pct() >= 2.0 {
-                return Err(format!(
-                    "flight-recorder overhead {:.2}% on the admission hot path breaches \
-                     the 2% budget",
-                    r.recorder.overhead_pct()
-                ));
+                eprintln!("[mcs-exp] wrote BENCH_partition.json and appended BENCH_history.jsonl");
             }
         }
         "profile" => {
