@@ -70,6 +70,24 @@ diff "$TMP/sim-t1.txt" "$TMP/sim-t8.txt" \
 grep -q "tick-vs-event traces identical: true" "$TMP/sim-t1.txt" \
   || { echo "ci: simulate trace-identity gate missing or false"; exit 1; }
 
+echo "== mcs-exp simulator-backed results reproduce"
+# Each of these results/ files is the command's stderr header line
+# ("[mcs-exp] ...") followed by its stdout; the stdout must reproduce
+# byte for byte.
+while IFS='|' read -r file args; do
+  # shellcheck disable=SC2086  # $args is a word list on purpose
+  "$MCS_EXP" $args < /dev/null 2> /dev/null > "$TMP/$file"
+  diff <(sed '1{/^\[mcs-exp\] /d}' "results/$file") "$TMP/$file" \
+    || { echo "ci: results/$file no longer reproduces"; exit 1; }
+done <<'RESULTS'
+soundness_linear.txt|soundness --trials 300 --horizon-periods 8
+soundness_geometric.txt|soundness --trials 300 --horizon-periods 8 --geometric
+overhead.txt|overhead --trials 200 --horizon-periods 6
+elastic.txt|elastic --trials 100 --horizon-periods 6
+globalcmp.txt|globalcmp --trials 500 --horizon-periods 6
+sim_weaklyhard.txt|simulate
+RESULTS
+
 echo "== mcs-exp checkpoint resume (smoke)"
 # A short run, then an identical longer run resumed from its checkpoint,
 # must produce the same stdout and the same JSONL records as one

@@ -1,11 +1,12 @@
-//! Rule `sim-event-consistency`: the discrete-event simulator engine
-//! ([`mcs_sim::EventCoreSim`]) must produce *bit-identical* reports and
-//! event traces to the tick-scan oracle ([`mcs_sim::CoreSim`]) on the
-//! partition under audit. The experiment pipeline runs long horizons on
-//! the event engine for speed; this rule re-derives a short-horizon
-//! worst-case run through **both** engines and compares every observable,
-//! so a divergence in release ordering, mode-switch timing, or drop
-//! accounting cannot silently skew published figures.
+//! Rule `sim-event-consistency`: the simulator's run loop
+//! ([`mcs_sim::CoreSim`]) must produce *bit-identical* reports and event
+//! traces on its per-level release heaps ([`mcs_sim::SimEngine::Event`])
+//! and on the scan oracle ([`mcs_sim::SimEngine::Tick`]) for the
+//! partition under audit. The two share every line of the loop but the
+//! release index, so this rule checks the index: it re-derives a
+//! short-horizon worst-case run on **both** indexes and compares every
+//! observable, so a divergence in release ordering, mode-switch timing, or
+//! drop accounting cannot silently skew published figures.
 
 use mcs_sim::{simulate_partition_with, LevelCap, SimConfig, SimEngine, SystemScheduler};
 
@@ -16,8 +17,8 @@ use crate::rules::shapes_match;
 /// Stable id of this rule.
 pub const ID: &str = "sim-event-consistency";
 
-/// Runs the audited `(task set, partition)` through the tick oracle and
-/// the discrete-event engine under the worst-case scenario
+/// Runs the audited `(task set, partition)` on the scan-oracle and the
+/// per-level-heap release index under the worst-case scenario
 /// ([`LevelCap`] at the top behaviour level) over a short derived
 /// horizon, with tracing enabled, and demands bit equality of both the
 /// aggregated reports and every per-core event trace

@@ -49,7 +49,7 @@ use mcs_partition::{
     paper_schemes, reference_paper_schemes, AdmissionEngine, AdmissionPolicy, PartitionFailure,
     PartitionQuality, Partitioner, ProbeEngine, QualityScratch,
 };
-use mcs_sim::{CoreSim, EventCoreSim, LevelCap, SchedulerKind, Trace};
+use mcs_sim::{CoreSim, LevelCap, SchedulerKind, SimEngine, Trace};
 
 use crate::report::Table;
 use crate::sweep::{run_point, SweepConfig};
@@ -758,19 +758,21 @@ const SIM_HORIZON: Tick = 1_000_000;
 struct SimRates {
     /// Trace events one run produces (identical for both engines).
     events_per_run: u64,
-    /// Tick-oracle ([`CoreSim`]) trace events per second.
+    /// [`CoreSim`] on the scan index ([`SimEngine::Tick`]) trace events
+    /// per second.
     tick: f64,
-    /// Discrete-event engine ([`EventCoreSim`]) trace events per second.
+    /// [`CoreSim`] on the per-level heaps ([`SimEngine::Event`]) trace
+    /// events per second.
     event: f64,
     /// The traced reports and event sequences were bit-identical.
     trace_identical: bool,
 }
 
-/// Time both simulator engines on [`SIM_TASKS`] tasks at ~0.5 utilization
-/// to a [`SIM_HORIZON`]-tick horizon. The periods are spread
-/// (`50 000 + 31·i`) so releases rarely coincide — the regime where the
-/// oracle's per-stop O(n) release scans dominate and the event engine's
-/// heaps pay off. One traced run per engine first establishes bit-identity
+/// Time the simulator on both release indexes on [`SIM_TASKS`] tasks at
+/// ~0.5 utilization to a [`SIM_HORIZON`]-tick horizon. The periods are
+/// spread (`50 000 + 31·i`) so releases rarely coincide — the regime where
+/// the scan oracle's per-stop O(n) passes dominate and the per-level heaps
+/// pay off. One traced run per engine first establishes bit-identity
 /// (report + event sequence), so events/second is the same work on both
 /// sides; the timed loops then run untraced, and the common event count
 /// converts wall-clock to events/s. Each side reports its *fastest* run
@@ -792,44 +794,26 @@ fn sim_rates() -> SimRates {
                 .expect("valid synthetic task")
         })
         .collect();
-    let refs = || tasks.iter().collect::<Vec<&McTask>>();
+    let sim =
+        |engine| CoreSim::new(tasks.iter().collect(), SchedulerKind::PlainEdf).with_engine(engine);
 
     let mut tick_trace = Trace::enabled(1 << 20);
-    let tick_report = CoreSim::new(refs(), SchedulerKind::PlainEdf).run(
-        &mut LevelCap::lo(),
-        SIM_HORIZON,
-        &mut tick_trace,
-    );
+    let tick_report = sim(SimEngine::Tick).run(&mut LevelCap::lo(), SIM_HORIZON, &mut tick_trace);
     let mut event_trace = Trace::enabled(1 << 20);
-    let event_report = EventCoreSim::new(refs(), SchedulerKind::PlainEdf).run(
-        &mut LevelCap::lo(),
-        SIM_HORIZON,
-        &mut event_trace,
-    );
+    let event_report =
+        sim(SimEngine::Event).run(&mut LevelCap::lo(), SIM_HORIZON, &mut event_trace);
     let trace_identical =
         tick_report == event_report && tick_trace.events() == event_trace.events();
     let events_per_run = tick_trace.events().len() as u64;
 
-    let timed = |event_engine: bool| {
+    let timed = |engine: SimEngine| {
         let mut best = f64::INFINITY;
         let mut runs = 0u32;
         let start = Instant::now();
         loop {
             let mut trace = Trace::disabled();
             let t = Instant::now();
-            let report = if event_engine {
-                EventCoreSim::new(refs(), SchedulerKind::PlainEdf).run(
-                    &mut LevelCap::lo(),
-                    SIM_HORIZON,
-                    &mut trace,
-                )
-            } else {
-                CoreSim::new(refs(), SchedulerKind::PlainEdf).run(
-                    &mut LevelCap::lo(),
-                    SIM_HORIZON,
-                    &mut trace,
-                )
-            };
+            let report = sim(engine).run(&mut LevelCap::lo(), SIM_HORIZON, &mut trace);
             let secs = t.elapsed().as_secs_f64();
             black_box(&report);
             best = best.min(secs);
@@ -840,7 +824,12 @@ fn sim_rates() -> SimRates {
         }
         events_per_run as f64 / best
     };
-    SimRates { events_per_run, tick: timed(false), event: timed(true), trace_identical }
+    SimRates {
+        events_per_run,
+        tick: timed(SimEngine::Tick),
+        event: timed(SimEngine::Event),
+        trace_identical,
+    }
 }
 
 /// Run the benchmark and declare every metric row, with its gate.

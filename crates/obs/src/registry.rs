@@ -191,11 +191,11 @@ events! {
     SimIdleResets => "sim_idle_resets", record SimIdleReset => "sim_idle_reset";
     /// Simulator deadline misses (`tick` time, `a` task, `b` job).
     SimDeadlineMisses => "sim_deadline_misses", record SimDeadlineMiss => "sim_deadline_miss";
-    /// Release-queue entries popped by the event-driven engine (due
-    /// releases gathered per stop, both heaps).
+    /// Due releases popped from the simulator's per-level release heaps
+    /// (`SimEngine::Event` runs only; one per drained slot).
     SimEventsPopped => "sim_events_popped";
-    /// Release-queue entries pushed by the event-driven engine (re-keys
-    /// after a drain plus mode-change migrations).
+    /// Entries pushed onto the simulator's per-level release heaps (one
+    /// seed per slot, then one per drained slot still below the horizon).
     SimHeapPushes => "sim_heap_pushes";
     /// Admission requests accepted: a placement was found (`a` task, `b`
     /// core, `c` feasible-core bitmask of the direct-placement probe
@@ -274,12 +274,9 @@ phases! {
     /// One repair move search on an admission reject (the relocation
     /// attempt seeded from the engine's live sums).
     AdmissionRepair => "admission_repair",
-    /// One due-release gather in the event-driven simulator (pop from
-    /// both release heaps + the slot-order drain).
+    /// One due-release gather from the simulator's per-level release
+    /// heaps (the pops and their slot-order sort).
     SimEventPop => "sim_event_pop",
-    /// One release-heap re-seat pass after a simulator mode change
-    /// (active ↔ inactive migrations via epoch invalidation).
-    SimHeapMaint => "sim_heap_maint",
 }
 
 /// Counter shards: concurrent writers are spread over this many copies of

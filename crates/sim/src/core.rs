@@ -1,5 +1,4 @@
-//! Single-core EDF / EDF-VD + AMC runtime simulation — the tick-structured
-//! reference engine ([`CoreSim`]).
+//! Single-core EDF / EDF-VD + AMC runtime simulation ([`CoreSim`]).
 //!
 //! This is the run-time model the paper assumes in §II-A: per-job budget
 //! monitoring, a mode switch when a job exhausts its level-`l` budget
@@ -8,11 +7,11 @@
 //! (`mcs_analysis::VdAssignment`, the Eq. (5)–(7) factor `x`) and are
 //! never shrunk for jobs already in flight.
 //!
-//! [`CoreSim`] advances stop by stop, scanning all task slots at each
-//! stop. Its heap-indexed twin [`crate::EventCoreSim`] replicates its
-//! trace bit for bit (DESIGN.md#tick-oracle-differential-contract) at a
-//! fraction of the cost; `CoreSim` is kept as the differential oracle the
-//! contract is checked against (DESIGN.md#simulation-layer).
+//! [`CoreSim::run`] is the one run loop. It advances stop by stop and asks
+//! a release index ([`crate::index`]) which releases are due and when the
+//! next active one is; [`SimEngine`] picks the index — the scan oracle or
+//! the per-level heaps — and both yield bit-identical traces
+//! (DESIGN.md#tick-oracle-differential-contract).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -20,9 +19,24 @@ use rand::{Rng, SeedableRng};
 use mcs_analysis::VdAssignment;
 use mcs_model::{CritLevel, McTask, Tick};
 
+use crate::index::{HeapIndex, ReleaseIndex, ScanIndex};
 use crate::report::CoreReport;
 use crate::scenario::Scenario;
 use crate::trace::{Trace, TraceEvent};
+
+/// Which release index a [`CoreSim`] run uses. Both produce bit-identical
+/// traces and reports (DESIGN.md#tick-oracle-differential-contract); the
+/// choice is purely a wall-clock trade.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum SimEngine {
+    /// Scan every task slot at every stop — the differential oracle and
+    /// the default.
+    #[default]
+    Tick,
+    /// One binary min-heap of pending releases per criticality level —
+    /// for long horizons and many tasks per core.
+    Event,
+}
 
 /// Scheduling policy of one core.
 #[derive(Clone, Debug)]
@@ -59,7 +73,7 @@ impl SchedulerKind {
         SchedulerKind::FixedPriority(priorities)
     }
 
-    pub(crate) fn factor(&self, mode: CritLevel, level: CritLevel) -> f64 {
+    fn factor(&self, mode: CritLevel, level: CritLevel) -> f64 {
         match self {
             SchedulerKind::PlainEdf | SchedulerKind::FixedPriority(_) => 1.0,
             SchedulerKind::EdfVd(vd) => vd.factor(mode, level),
@@ -69,7 +83,7 @@ impl SchedulerKind {
     /// Dispatch key of a pending job: lower wins. Fixed priority ignores
     /// deadlines; the EDF family uses the effective deadline. Slot/index
     /// tie-breaks keep dispatch deterministic.
-    pub(crate) fn dispatch_key(&self, job: &Job) -> (u64, usize, u64) {
+    fn dispatch_key(&self, job: &Job) -> (u64, usize, u64) {
         match self {
             SchedulerKind::PlainEdf | SchedulerKind::EdfVd(_) => {
                 (job.eff_deadline, job.slot, job.index)
@@ -131,38 +145,36 @@ pub enum ArrivalModel {
     },
 }
 
-/// An in-flight job. Shared by both engines ([`CoreSim`] and
-/// [`crate::event::EventCoreSim`]) so the dispatch keys and bookkeeping are
-/// identical by construction.
+/// An in-flight job.
 #[derive(Clone, Debug)]
-pub(crate) struct Job {
-    pub(crate) slot: usize,
-    pub(crate) index: u64,
-    pub(crate) release: Tick,
-    pub(crate) abs_deadline: Tick,
-    pub(crate) eff_deadline: Tick,
-    pub(crate) demand: Tick,
-    pub(crate) executed: Tick,
-    pub(crate) missed: bool,
+struct Job {
+    slot: usize,
+    index: u64,
+    release: Tick,
+    abs_deadline: Tick,
+    eff_deadline: Tick,
+    demand: Tick,
+    executed: Tick,
+    missed: bool,
     /// Released below the operation mode under the elastic policy: runs
     /// with the level-1 budget and is killed (not escalated) on overrun.
-    pub(crate) degraded: bool,
+    degraded: bool,
 }
 
 /// Per-task release bookkeeping.
 #[derive(Clone, Debug)]
 pub(crate) struct TaskState {
     pub(crate) next_release: Tick,
-    pub(crate) next_index: u64,
+    next_index: u64,
     /// Sporadic arrivals: max extra delay in ticks + RNG (None = periodic).
-    pub(crate) jitter: Option<(Tick, SmallRng)>,
+    jitter: Option<(Tick, SmallRng)>,
 }
 
 impl TaskState {
     /// Advance to the next release, `step` ticks (plus sporadic jitter)
     /// later. `step` is the period, possibly stretched by the elastic
     /// degradation policy.
-    pub(crate) fn advance(&mut self, step: Tick) {
+    fn advance(&mut self, step: Tick) {
         let delay = match &mut self.jitter {
             None => 0,
             Some((max_delay, rng)) => rng.gen_range(0..=*max_delay),
@@ -170,44 +182,6 @@ impl TaskState {
         self.next_release += step + delay;
         self.next_index += 1;
     }
-}
-
-/// Initial per-slot release state for a task subset. Both engines seed
-/// their `TaskState` vectors here so sporadic RNG streams (one
-/// `SmallRng` per slot, seeded `seed + slot`) are identical.
-pub(crate) fn initial_states(tasks: &[&McTask], arrivals: &ArrivalModel) -> Vec<TaskState> {
-    tasks
-        .iter()
-        .enumerate()
-        .map(|(slot, task)| TaskState {
-            next_release: 0,
-            next_index: 0,
-            jitter: match arrivals {
-                ArrivalModel::Periodic => None,
-                ArrivalModel::Sporadic { slack, seed } => {
-                    assert!((0.0..=4.0).contains(slack), "slack out of range");
-                    let max_delay = (task.period() as f64 * slack).floor() as Tick;
-                    Some((max_delay, SmallRng::seed_from_u64(seed.wrapping_add(slot as u64))))
-                }
-            },
-        })
-        .collect()
-}
-
-/// Effective (virtual) deadline of a job released at `release` under
-/// `mode`: `release + min(period, round(period · x_l(mode)))`, clamped to
-/// at least one tick. Shared by both engines — this is the deadline the
-/// EDF family dispatches on (Section IV of the paper: virtual deadlines
-/// shorten HI-task deadlines at low modes so a mode switch leaves slack).
-pub(crate) fn effective_deadline(
-    scheduler: &SchedulerKind,
-    task: &McTask,
-    release: Tick,
-    mode: CritLevel,
-) -> Tick {
-    let f = scheduler.factor(mode, task.level());
-    let rel = ((task.period() as f64) * f).round().max(1.0) as Tick;
-    release + rel.min(task.period())
 }
 
 /// Simulator for one core and its task subset.
@@ -228,11 +202,12 @@ pub struct CoreSim<'a> {
     arrivals: ArrivalModel,
     overheads: Overheads,
     degradation: DegradationPolicy,
+    engine: SimEngine,
 }
 
 impl<'a> CoreSim<'a> {
     /// Build a core simulator over a task subset (periodic arrivals, zero
-    /// overheads).
+    /// overheads, the scan index).
     #[must_use]
     pub fn new(tasks: Vec<&'a McTask>, scheduler: SchedulerKind) -> Self {
         Self {
@@ -241,6 +216,7 @@ impl<'a> CoreSim<'a> {
             arrivals: ArrivalModel::Periodic,
             overheads: Overheads::default(),
             degradation: DegradationPolicy::Drop,
+            engine: SimEngine::Tick,
         }
     }
 
@@ -265,8 +241,43 @@ impl<'a> CoreSim<'a> {
         self
     }
 
+    /// Override the release index (the run's results do not change).
+    #[must_use]
+    pub fn with_engine(mut self, engine: SimEngine) -> Self {
+        self.engine = engine;
+        self
+    }
+
+    /// Effective (virtual) deadline of a job released at `release` under
+    /// `mode`: `release + min(period, round(period · x_l(mode)))`, clamped
+    /// to at least one tick — the deadline the EDF family dispatches on
+    /// (Section IV of the paper: virtual deadlines shorten HI-task
+    /// deadlines at low modes so a mode switch leaves slack).
     fn eff_deadline(&self, task: &McTask, release: Tick, mode: CritLevel) -> Tick {
-        effective_deadline(&self.scheduler, task, release, mode)
+        let f = self.scheduler.factor(mode, task.level());
+        let rel = ((task.period() as f64) * f).round().max(1.0) as Tick;
+        release + rel.min(task.period())
+    }
+
+    /// Initial per-slot release state; sporadic slots get one `SmallRng`
+    /// each, seeded `seed + slot`.
+    fn initial_states(&self) -> Vec<TaskState> {
+        self.tasks
+            .iter()
+            .enumerate()
+            .map(|(slot, task)| TaskState {
+                next_release: 0,
+                next_index: 0,
+                jitter: match self.arrivals {
+                    ArrivalModel::Periodic => None,
+                    ArrivalModel::Sporadic { slack, seed } => {
+                        assert!((0.0..=4.0).contains(&slack), "slack out of range");
+                        let max_delay = (task.period() as f64 * slack).floor() as Tick;
+                        Some((max_delay, SmallRng::seed_from_u64(seed.wrapping_add(slot as u64))))
+                    }
+                },
+            })
+            .collect()
     }
 
     /// Run the core until `horizon`, drawing job demands from `scenario`.
@@ -276,24 +287,45 @@ impl<'a> CoreSim<'a> {
         horizon: Tick,
         trace: &mut Trace,
     ) -> CoreReport {
-        let mut report = CoreReport { max_mode: 1, ..Default::default() };
         if self.tasks.is_empty() || horizon == 0 {
-            return report;
+            return CoreReport { max_mode: 1, ..Default::default() };
         }
+        match self.engine {
+            SimEngine::Tick => {
+                self.run_on(&mut ScanIndex::new(&self.tasks, horizon), scenario, horizon, trace)
+            }
+            SimEngine::Event => {
+                self.run_on(&mut HeapIndex::new(&self.tasks, horizon), scenario, horizon, trace)
+            }
+        }
+    }
 
+    /// The run loop, on a given release index.
+    pub(crate) fn run_on<I: ReleaseIndex, S: Scenario>(
+        &self,
+        index: &mut I,
+        scenario: &mut S,
+        horizon: Tick,
+        trace: &mut Trace,
+    ) -> CoreReport {
+        let mut report = CoreReport { max_mode: 1, ..Default::default() };
         let mut mode = CritLevel::LO;
         let mut time: Tick = 0;
-        let mut states: Vec<TaskState> = initial_states(&self.tasks, &self.arrivals);
+        let mut states: Vec<TaskState> = self.initial_states();
         let mut ready: Vec<Job> = Vec::new();
+        let mut due: Vec<usize> = Vec::new();
         // (slot, index) of the job that ran last, for context-switch
         // accounting.
         let mut last_dispatched: Option<(usize, u64)> = None;
 
         loop {
-            // 1. Release jobs due now. Tasks below the current mode have
-            // their releases suppressed (AMC drops future jobs of dropped
-            // levels); their counters are fast-forwarded at idle reset.
-            for (slot, task) in self.tasks.iter().enumerate() {
+            // 1. Release jobs due now, slot by slot in ascending order (the
+            // `scenario.demand` call order). Tasks below the current mode
+            // are due too: their releases are suppressed (AMC drops future
+            // jobs of dropped levels) but their counters fast-forward.
+            index.pop_due(time, &states, &mut due);
+            for &slot in &due {
+                let task = self.tasks[slot];
                 let st = &mut states[slot];
                 while st.next_release <= time && st.next_release < horizon {
                     let release = st.next_release;
@@ -357,6 +389,7 @@ impl<'a> CoreSim<'a> {
                     report.released += 1;
                     ready.push(job);
                 }
+                index.reinsert(slot, st.next_release);
             }
 
             // 2. Record deadline misses of pending jobs.
@@ -374,14 +407,7 @@ impl<'a> CoreSim<'a> {
             }
 
             // 3. Earliest next release among *active* tasks.
-            let next_release: Option<Tick> = self
-                .tasks
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.level() >= mode)
-                .map(|(s, _)| states[s].next_release)
-                .filter(|&r| r < horizon)
-                .min();
+            let next_release = index.next_active(mode, &states);
 
             // 4. Pick the job to run (EDF: earliest effective deadline;
             // FP: highest priority; determinism via slot/index tie-breaks).
@@ -397,10 +423,9 @@ impl<'a> CoreSim<'a> {
                     mode = CritLevel::LO;
                     report.idle_resets += 1;
                     trace.push(TraceEvent::IdleReset { time });
-                    // Dropped tasks resume at their next period boundary —
-                    // counters already advanced in step 1, so nothing else
-                    // to do; but releases suppressed between now and their
-                    // counters are gone by construction.
+                    // Dropped tasks resume at their next period boundary:
+                    // step 1 already advanced their counters past every
+                    // suppressed release.
                     continue; // re-evaluate releases/next_release at level 1
                 }
                 match next_release {

@@ -1,0 +1,579 @@
+//! Pending-release indexes for the one per-core run loop
+//! ([`crate::CoreSim`]).
+//!
+//! The loop asks its index two questions per scheduling stop — which slots
+//! have a release due now, and when the earliest *active* release is —
+//! and tells it once per drained slot where that slot's next release
+//! lies. Everything else (drain, miss sweep, dispatch, budgets, mode
+//! switches, idle resets) is the loop's own, so two indexes that answer
+//! the questions identically produce bit-identical traces
+//! (DESIGN.md#tick-oracle-differential-contract):
+//!
+//! * [`ScanIndex`] answers by scanning every slot — `O(N)` per stop, the
+//!   differential oracle;
+//! * [`HeapIndex`] keeps one binary min-heap per criticality level —
+//!   `O(due · log N)` per stop, at most `K` peeks for the active minimum.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use mcs_model::{CritLevel, McTask, Tick};
+use mcs_obs::{Counter, Phase};
+
+use crate::core::TaskState;
+
+/// Where a run loop finds its due and next active releases.
+pub(crate) trait ReleaseIndex {
+    /// Put every slot with `next_release ≤ time` (below-mode slots
+    /// included) into `out`, ascending by slot — the order the drain
+    /// visits them in.
+    fn pop_due(&mut self, time: Tick, states: &[TaskState], out: &mut Vec<usize>);
+    /// Re-file `slot` after its drain, at its new `next_release`.
+    fn reinsert(&mut self, slot: usize, next_release: Tick);
+    /// Earliest pending release below the horizon over slots whose task
+    /// level is ≥ `mode`.
+    fn next_active(&self, mode: CritLevel, states: &[TaskState]) -> Option<Tick>;
+}
+
+/// The oracle index: every question is a pass over all slots.
+pub(crate) struct ScanIndex {
+    levels: Vec<CritLevel>,
+    horizon: Tick,
+}
+
+impl ScanIndex {
+    pub(crate) fn new(tasks: &[&McTask], horizon: Tick) -> Self {
+        Self { levels: tasks.iter().map(|t| t.level()).collect(), horizon }
+    }
+}
+
+impl ReleaseIndex for ScanIndex {
+    fn pop_due(&mut self, time: Tick, states: &[TaskState], out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(
+            (0..states.len()).filter(|&s| {
+                states[s].next_release <= time && states[s].next_release < self.horizon
+            }),
+        );
+    }
+
+    fn reinsert(&mut self, _slot: usize, _next_release: Tick) {}
+
+    fn next_active(&self, mode: CritLevel, states: &[TaskState]) -> Option<Tick> {
+        self.levels
+            .iter()
+            .zip(states)
+            .filter(|(&level, st)| level >= mode && st.next_release < self.horizon)
+            .map(|(_, st)| st.next_release)
+            .min()
+    }
+}
+
+/// One binary min-heap of `(next_release, slot)` per criticality level.
+///
+/// Every slot with `next_release < horizon` that is not being drained has
+/// exactly one entry, in the heap of its own task's level. A slot's level
+/// never changes, so a mode switch or an idle reset moves nothing: the
+/// active minimum is the least top over the heaps at or above the mode.
+pub(crate) struct HeapIndex {
+    heaps: Vec<BinaryHeap<Reverse<(Tick, usize)>>>,
+    heap_of: Vec<usize>,
+    horizon: Tick,
+    popped: u64,
+    pushes: u64,
+}
+
+impl HeapIndex {
+    pub(crate) fn new(tasks: &[&McTask], horizon: Tick) -> Self {
+        let heap_of: Vec<usize> = tasks.iter().map(|t| t.level().index()).collect();
+        let levels = heap_of.iter().max().map_or(0, |&top| top + 1);
+        let mut index =
+            Self { heaps: vec![BinaryHeap::new(); levels], heap_of, horizon, popped: 0, pushes: 0 };
+        for slot in 0..tasks.len() {
+            index.reinsert(slot, 0); // synchronous first releases
+        }
+        index
+    }
+}
+
+impl ReleaseIndex for HeapIndex {
+    fn pop_due(&mut self, time: Tick, _states: &[TaskState], out: &mut Vec<usize>) {
+        // Timed by hand: an `mcs_obs::span` guard here measured about a
+        // fifth slower on the untimed `perf` simulator set.
+        let start = mcs_obs::now_if_timing();
+        out.clear();
+        for heap in &mut self.heaps {
+            while heap.peek().is_some_and(|&Reverse((release, _))| release <= time) {
+                let Reverse((_, slot)) = heap.pop().expect("peeked");
+                out.push(slot);
+            }
+        }
+        self.popped += out.len() as u64;
+        out.sort_unstable();
+        if let Some(start) = start {
+            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            mcs_obs::record_phase(Phase::SimEventPop, ns);
+        }
+    }
+
+    fn reinsert(&mut self, slot: usize, next_release: Tick) {
+        if next_release < self.horizon {
+            self.pushes += 1;
+            self.heaps[self.heap_of[slot]].push(Reverse((next_release, slot)));
+        }
+    }
+
+    fn next_active(&self, mode: CritLevel, _states: &[TaskState]) -> Option<Tick> {
+        self.heaps.iter().skip(mode.index()).filter_map(|h| h.peek().map(|e| e.0 .0)).min()
+    }
+}
+
+impl Drop for HeapIndex {
+    /// One counter bump per run rather than per heap operation.
+    fn drop(&mut self) {
+        mcs_obs::counter!(Counter::SimEventsPopped, self.popped);
+        mcs_obs::counter!(Counter::SimHeapPushes, self.pushes);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::core::{
+        ArrivalModel, CoreSim, DegradationPolicy, Overheads, SchedulerKind, SimEngine,
+    };
+    use crate::report::CoreReport;
+    use crate::scenario::{LevelCap, Probabilistic, Scenario, SingleOverrun};
+    use crate::trace::Trace;
+    use mcs_analysis::{Theorem1, VdAssignment};
+    use mcs_model::{TaskBuilder, TaskId, UtilTable};
+
+    fn task(id: u32, period: u64, level: u8, wcet: &[u64]) -> McTask {
+        TaskBuilder::new(TaskId(id)).period(period).level(level).wcet(wcet).build().unwrap()
+    }
+
+    fn vd_for(tasks: &[&McTask], k: u8) -> VdAssignment {
+        let table = UtilTable::from_tasks(k, tasks.iter().copied());
+        let a = Theorem1::compute(&table);
+        VdAssignment::compute(&table, &a).expect("subset must be feasible")
+    }
+
+    /// Run the loop on both indexes with identical inputs and assert
+    /// report + trace equality.
+    fn assert_engines_agree<S: Scenario + Clone>(
+        tasks: &[&McTask],
+        scheduler: &SchedulerKind,
+        scenario: &S,
+        arrivals: &ArrivalModel,
+        overheads: Overheads,
+        degradation: &DegradationPolicy,
+        horizon: Tick,
+    ) {
+        let mut tick_trace = Trace::enabled(1 << 20);
+        let mut event_trace = Trace::enabled(1 << 20);
+        let sim = CoreSim::new(tasks.to_vec(), scheduler.clone())
+            .with_arrivals(arrivals.clone())
+            .with_overheads(overheads)
+            .with_degradation(degradation.clone());
+        let tick = sim.run(&mut scenario.clone(), horizon, &mut tick_trace);
+        let sim = sim.with_engine(SimEngine::Event);
+        let event = sim.run(&mut scenario.clone(), horizon, &mut event_trace);
+        assert_eq!(tick, event, "reports diverged");
+        assert_eq!(tick_trace.events(), event_trace.events(), "traces diverged");
+    }
+
+    #[test]
+    fn single_task_matches_oracle() {
+        let t = task(0, 10, 1, &[3]);
+        assert_engines_agree(
+            &[&t],
+            &SchedulerKind::PlainEdf,
+            &LevelCap::lo(),
+            &ArrivalModel::Periodic,
+            Overheads::default(),
+            &DegradationPolicy::Drop,
+            100,
+        );
+    }
+
+    #[test]
+    fn mode_switch_and_idle_reset_match_oracle() {
+        let lo = task(0, 10, 1, &[3]);
+        let hi = task(1, 10, 2, &[2, 6]);
+        let tasks = vec![&lo, &hi];
+        let vd = vd_for(&tasks, 2);
+        assert_engines_agree(
+            &tasks,
+            &SchedulerKind::EdfVd(vd),
+            &SingleOverrun::new(TaskId(1), 1, 2),
+            &ArrivalModel::Periodic,
+            Overheads::default(),
+            &DegradationPolicy::Drop,
+            400,
+        );
+    }
+
+    #[test]
+    fn worst_case_behaviour_matches_oracle() {
+        let lo = task(0, 10, 1, &[5]);
+        let hi = task(1, 100, 2, &[10, 60]);
+        let tasks = vec![&lo, &hi];
+        let vd = vd_for(&tasks, 2);
+        assert_engines_agree(
+            &tasks,
+            &SchedulerKind::EdfVd(vd),
+            &LevelCap::new(2),
+            &ArrivalModel::Periodic,
+            Overheads::default(),
+            &DegradationPolicy::Drop,
+            5_000,
+        );
+    }
+
+    #[test]
+    fn sporadic_arrivals_match_oracle() {
+        let a = task(0, 10, 1, &[2]);
+        let b = task(1, 25, 1, &[6]);
+        for seed in 0..8 {
+            assert_engines_agree(
+                &[&a, &b],
+                &SchedulerKind::PlainEdf,
+                &LevelCap::lo(),
+                &ArrivalModel::Sporadic { slack: 0.4, seed },
+                Overheads::default(),
+                &DegradationPolicy::Drop,
+                2_000,
+            );
+        }
+    }
+
+    #[test]
+    fn overheads_match_oracle() {
+        let a = task(0, 4, 1, &[2]);
+        let b = task(1, 8, 1, &[4]);
+        assert_engines_agree(
+            &[&a, &b],
+            &SchedulerKind::PlainEdf,
+            &LevelCap::lo(),
+            &ArrivalModel::Periodic,
+            Overheads { context_switch: 1, mode_switch: 3 },
+            &DegradationPolicy::Drop,
+            500,
+        );
+    }
+
+    #[test]
+    fn elastic_degradation_matches_oracle() {
+        let tasks = vec![task(0, 10_000, 1, &[3_000]), task(1, 100_000, 2, &[10_000, 45_000])];
+        let table = UtilTable::from_tasks(2, tasks.iter());
+        let analysis = Theorem1::compute(&table);
+        let vd = VdAssignment::compute(&table, &analysis).expect("feasible");
+        let factors = mcs_analysis::elastic_stretch_factors(&table, &analysis).expect("feasible");
+        let refs: Vec<&McTask> = tasks.iter().collect();
+        assert_engines_agree(
+            &refs,
+            &SchedulerKind::EdfVd(vd),
+            &LevelCap::new(2),
+            &ArrivalModel::Periodic,
+            Overheads::default(),
+            &DegradationPolicy::Elastic { factors },
+            1_000_000,
+        );
+    }
+
+    #[test]
+    fn fixed_priority_matches_oracle() {
+        let a = task(0, 20, 1, &[10]);
+        let b = task(1, 30, 1, &[10]);
+        let tasks = vec![&a, &b];
+        let sched = SchedulerKind::deadline_monotonic(&tasks);
+        assert_engines_agree(
+            &tasks,
+            &sched,
+            &LevelCap::lo(),
+            &ArrivalModel::Periodic,
+            Overheads::default(),
+            &DegradationPolicy::Drop,
+            600,
+        );
+    }
+
+    #[test]
+    fn probabilistic_scenario_rng_stream_matches_oracle() {
+        // Probabilistic shares one RNG across demand() calls, so the call
+        // *order* must match for the streams to align — the strongest
+        // single check of the drain-order contract.
+        let a = task(0, 10, 1, &[3]);
+        let b = task(1, 20, 2, &[4, 8]);
+        let c = task(2, 15, 1, &[5]);
+        let tasks = vec![&a, &b, &c];
+        let vd = vd_for(&tasks, 2);
+        for seed in 0..8 {
+            assert_engines_agree(
+                &tasks,
+                &SchedulerKind::EdfVd(vd.clone()),
+                &Probabilistic::new(0.3, 2, seed),
+                &ArrivalModel::Periodic,
+                Overheads::default(),
+                &DegradationPolicy::Drop,
+                3_000,
+            );
+        }
+    }
+
+    #[test]
+    fn empty_and_zero_horizon_match_oracle() {
+        let empty = CoreSim::new(vec![], SchedulerKind::PlainEdf)
+            .with_engine(SimEngine::Event)
+            .run(&mut LevelCap::lo(), 100, &mut Trace::disabled());
+        assert_eq!(empty, CoreReport { max_mode: 1, ..Default::default() });
+        let t = task(0, 10, 1, &[3]);
+        let zero = CoreSim::new(vec![&t], SchedulerKind::PlainEdf)
+            .with_engine(SimEngine::Event)
+            .run(&mut LevelCap::lo(), 0, &mut Trace::disabled());
+        assert_eq!(zero.released, 0);
+    }
+    /// A heap index over one task per entry of `levels`, all due at 0.
+    fn heap_over(levels: &[u8], horizon: Tick) -> HeapIndex {
+        let tasks: Vec<McTask> = (0u32..)
+            .zip(levels)
+            .map(|(id, &l)| task(id, 10, l, &(1..=u64::from(l)).collect::<Vec<_>>()))
+            .collect();
+        HeapIndex::new(&tasks.iter().collect::<Vec<_>>(), horizon)
+    }
+
+    /// The slots a heap index hands out as due at `time`.
+    fn pop(index: &mut HeapIndex, time: Tick) -> Vec<usize> {
+        let mut out = Vec::new();
+        index.pop_due(time, &[], &mut out);
+        out
+    }
+
+    #[test]
+    fn heap_pops_come_back_in_ascending_slot_order_across_levels() {
+        let mut index = heap_over(&[3, 1, 2, 1, 3], 100);
+        assert_eq!(pop(&mut index, 0), [0, 1, 2, 3, 4]);
+        for (slot, release) in [(4, 5), (0, 5), (2, 3), (1, 5), (3, 9)] {
+            index.reinsert(slot, release);
+        }
+        assert_eq!(pop(&mut index, 2), Vec::<usize>::new());
+        assert_eq!(pop(&mut index, 5), [0, 1, 2, 4]);
+        assert_eq!(pop(&mut index, 100), [3]);
+        assert_eq!(index.popped, 10);
+    }
+
+    #[test]
+    fn heap_next_active_ignores_heaps_below_the_mode() {
+        let mut index = heap_over(&[1, 2, 3], 100);
+        pop(&mut index, 0);
+        assert_eq!(index.next_active(CritLevel::LO, &[]), None);
+        for (slot, release) in [(0, 1), (1, 5), (2, 9)] {
+            index.reinsert(slot, release);
+        }
+        let at = |index: &HeapIndex, mode: u8| index.next_active(CritLevel::new(mode), &[]);
+        assert_eq!([1, 2, 3].map(|m| at(&index, m)), [Some(1), Some(5), Some(9)]);
+        // A release at or past the horizon is retired, not filed.
+        pop(&mut index, 9);
+        index.reinsert(2, 100);
+        assert_eq!(at(&index, 3), None);
+    }
+
+    /// Passes a run's index calls through to a [`HeapIndex`], counting the
+    /// drained slots and the reinserts that stay below the horizon.
+    struct Recording {
+        heap: HeapIndex,
+        drained: u64,
+        refiled: u64,
+    }
+
+    impl ReleaseIndex for Recording {
+        fn pop_due(&mut self, time: Tick, states: &[TaskState], out: &mut Vec<usize>) {
+            self.heap.pop_due(time, states, out);
+            self.drained += out.len() as u64;
+        }
+
+        fn reinsert(&mut self, slot: usize, next_release: Tick) {
+            self.refiled += u64::from(next_release < self.heap.horizon);
+            self.heap.reinsert(slot, next_release);
+        }
+
+        fn next_active(&self, mode: CritLevel, states: &[TaskState]) -> Option<Tick> {
+            self.heap.next_active(mode, states)
+        }
+    }
+
+    #[test]
+    fn heap_pushes_are_seeds_plus_refiled_drains_and_nothing_at_mode_changes() {
+        let lo = task(0, 10, 1, &[3]);
+        let mid = task(1, 20, 2, &[2, 5]);
+        let hi = task(2, 40, 3, &[2, 4, 9]);
+        let tasks = vec![&lo, &mid, &hi];
+        let horizon = 4_000;
+        let sim = CoreSim::new(tasks.clone(), SchedulerKind::EdfVd(vd_for(&tasks, 3)));
+        let heap = HeapIndex::new(&tasks, horizon);
+        let mut rec = Recording { heap, drained: 0, refiled: 0 };
+        let report = sim.run_on(&mut rec, &mut LevelCap::new(3), horizon, &mut Trace::disabled());
+        assert!(report.mode_switches > 0 && report.idle_resets > 0, "{report:?}");
+        assert!(rec.refiled <= rec.drained);
+        assert_eq!(rec.heap.popped, rec.drained);
+        assert_eq!(rec.heap.pushes, tasks.len() as u64 + rec.refiled);
+    }
+}
+
+#[cfg(test)]
+mod properties {
+    use crate::core::{
+        ArrivalModel, CoreSim, DegradationPolicy, Overheads, SchedulerKind, SimEngine,
+    };
+    use crate::scenario::{LevelCap, Probabilistic, Scenario};
+    use crate::trace::Trace;
+    use mcs_model::{CritLevel, McTask, TaskBuilder, TaskId, Tick};
+    use proptest::prelude::*;
+
+    #[derive(Clone, Debug)]
+    struct TaskSpec {
+        period: u64,
+        level: u8,
+        lo_frac: f64,
+        hi_frac: f64,
+    }
+
+    /// Closed sum over the scenario types the proptest draws from (the
+    /// `Scenario` trait is not dyn-dispatched in the engine API).
+    #[derive(Clone, Debug)]
+    enum AnyScenario {
+        Cap(LevelCap),
+        Prob(Probabilistic),
+        Single(crate::scenario::SingleOverrun),
+    }
+
+    impl Scenario for AnyScenario {
+        fn demand(&mut self, task: &McTask, job_index: u64) -> Tick {
+            match self {
+                AnyScenario::Cap(s) => s.demand(task, job_index),
+                AnyScenario::Prob(s) => s.demand(task, job_index),
+                AnyScenario::Single(s) => s.demand(task, job_index),
+            }
+        }
+
+        fn behaviour_level(&self) -> CritLevel {
+            match self {
+                AnyScenario::Cap(s) => s.behaviour_level(),
+                AnyScenario::Prob(s) => s.behaviour_level(),
+                AnyScenario::Single(s) => s.behaviour_level(),
+            }
+        }
+    }
+
+    fn task_spec() -> impl Strategy<Value = TaskSpec> {
+        (2u64..200, 1u8..=8, 0.05f64..0.9, 0.05f64..0.9).prop_map(
+            |(period, level, lo_frac, hi_frac)| TaskSpec { period, level, lo_frac, hi_frac },
+        )
+    }
+
+    /// Build the tasks, scaling every WCET fraction by `load / N` so that
+    /// light sets idle (and idle-reset from high modes) while heavy ones
+    /// stay overloaded.
+    fn build(specs: &[TaskSpec], load: f64) -> Vec<McTask> {
+        let scale = load / specs.len() as f64;
+        specs
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let lo = ((s.period as f64 * s.lo_frac * scale) as u64).clamp(1, s.period);
+                let step = ((s.period as f64 * s.hi_frac * scale) as u64).max(1);
+                let mut wcet = vec![lo];
+                let mut prev = lo;
+                for _ in 1..s.level {
+                    prev = (prev + step).min(s.period);
+                    wcet.push(prev);
+                }
+                TaskBuilder::new(TaskId(i as u32))
+                    .period(s.period)
+                    .level(s.level)
+                    .wcet(&wcet)
+                    .build()
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The differential contract: the run loop on the per-level heaps
+        /// is bit-identical to the loop on the scan oracle — same report,
+        /// same trace — across random task sets of up to 16 tasks over up
+        /// to 8 levels (so mode cascades and idle resets from high modes
+        /// reach every heap), schedulers, scenarios, arrival models,
+        /// overheads and degradation policies.
+        #[test]
+        fn event_engine_is_bit_identical_to_tick_oracle(
+            specs in prop::collection::vec(task_spec(), 1..=16),
+            scheduler_pick in 0u8..3,
+            scenario_pick in 0u8..3,
+            sporadic in (any::<bool>(), 0.0f64..1.0, any::<u64>()),
+            cs in 0u64..3,
+            ms in 0u64..5,
+            seed in any::<u64>(),
+            horizon in 1u64..6_000,
+            load in 0.2f64..4.0,
+        ) {
+            let tasks = build(&specs, load);
+            let refs: Vec<&McTask> = tasks.iter().collect();
+            let levels = tasks.iter().map(|t| t.level().get()).max().unwrap();
+            let scheduler = match scheduler_pick {
+                0 => SchedulerKind::PlainEdf,
+                1 => SchedulerKind::deadline_monotonic(&refs),
+                _ => {
+                    let table = mcs_model::UtilTable::from_tasks(levels, refs.iter().copied());
+                    let analysis = mcs_analysis::Theorem1::compute(&table);
+                    match mcs_analysis::VdAssignment::compute(&table, &analysis) {
+                        Some(vd) => SchedulerKind::EdfVd(vd),
+                        None => SchedulerKind::PlainEdf, // infeasible subset: fall back
+                    }
+                }
+            };
+            let arrivals = match sporadic {
+                (false, _, _) => ArrivalModel::Periodic,
+                (true, slack, s) => ArrivalModel::Sporadic { slack, seed: s },
+            };
+            let overheads = Overheads { context_switch: cs, mode_switch: ms };
+            let degradation = if seed % 2 == 0 {
+                DegradationPolicy::Drop
+            } else {
+                let table = mcs_model::UtilTable::from_tasks(levels, refs.iter().copied());
+                let analysis = mcs_analysis::Theorem1::compute(&table);
+                match mcs_analysis::elastic_stretch_factors(&table, &analysis) {
+                    Some(factors) => DegradationPolicy::Elastic { factors },
+                    None => DegradationPolicy::Drop,
+                }
+            };
+
+            let run = |engine: SimEngine| {
+                let mut trace = Trace::enabled(1 << 18);
+                let mut scenario = match scenario_pick {
+                    0 => AnyScenario::Cap(LevelCap::new(1 + (seed % u64::from(levels)) as u8)),
+                    1 => AnyScenario::Prob(Probabilistic::new(0.2, levels, seed)),
+                    _ => AnyScenario::Single(crate::scenario::SingleOverrun::new(
+                        TaskId((seed % tasks.len() as u64) as u32),
+                        seed % 4,
+                        levels,
+                    )),
+                };
+                let report = CoreSim::new(refs.clone(), scheduler.clone())
+                    .with_arrivals(arrivals.clone())
+                    .with_overheads(overheads)
+                    .with_degradation(degradation.clone())
+                    .with_engine(engine)
+                    .run(&mut scenario, horizon, &mut trace);
+                (report, trace)
+            };
+
+            let (tick_report, tick_trace) = run(SimEngine::Tick);
+            let (event_report, event_trace) = run(SimEngine::Event);
+            prop_assert_eq!(tick_report, event_report);
+            prop_assert_eq!(tick_trace.events(), event_trace.events());
+        }
+    }
+}

@@ -24,44 +24,45 @@
 //! then under any behaviour of level `b` every task with criticality ≥ `b`
 //! meets all deadlines*; and under level-1 behaviour, **all** tasks do.
 //!
-//! ## Two engines, one semantics
+//! ## One run loop, two release indexes
 //!
-//! The crate ships **two** per-core engines with identical observable
-//! behaviour (DESIGN.md#simulation-layer):
+//! [`CoreSim::run`] is the crate's one per-core run loop. The only thing
+//! it delegates is release bookkeeping — which slots are due at a stop,
+//! and when the next active release is — to a crate-private release index
+//! chosen by [`SimEngine`] (DESIGN.md#simulation-layer):
 //!
-//! * [`CoreSim`] (`core.rs`) — the original engine, kept as the
-//!   *differential oracle*: simple scan-based release bookkeeping, easy to
-//!   audit against the paper's runtime rules;
-//! * [`EventCoreSim`] (`event.rs`) — the discrete-event engine: a two-heap
-//!   release queue drives the clock in jumps, making 10⁶-tick horizons and
-//!   hundreds-of-seeds sweeps cheap (see `sim_events_per_sec` in
-//!   `BENCH_partition.json`).
+//! * [`SimEngine::Tick`] scans every task slot at every stop — the
+//!   default, kept as the *differential oracle*;
+//! * [`SimEngine::Event`] keeps one binary min-heap per criticality level,
+//!   making 10⁶-tick horizons with thousands of tasks cheap (see
+//!   `sim_events_per_sec` in `BENCH_partition.json`).
 //!
 //! Their contract is *bit-identical event traces* on shared scenarios —
-//! enforced by a proptest (`event::properties`), the
+//! enforced by a proptest (`index::properties`), the
 //! `sim-event-consistency` audit rule, and the `mcs-exp perf` gate.
-//! [`system::simulate_partition_with`] selects an engine per run via
-//! [`SimEngine`]; the legacy entry points default to the oracle.
+//! [`system::simulate_partition_with`] and [`CoreSim::with_engine`]
+//! select the index; everything else defaults to the oracle.
 
 #![forbid(unsafe_code)]
 
 pub mod analyze;
 pub mod core;
-pub mod event;
 pub mod global;
+mod index;
 pub mod report;
 pub mod scenario;
 pub mod system;
 pub mod trace;
 
 pub use crate::analyze::{ResponseStats, TraceAnalysis, WeaklyHardAnalysis, WeaklyHardStats};
-pub use crate::core::{ArrivalModel, CoreSim, DegradationPolicy, Overheads, SchedulerKind};
-pub use crate::event::EventCoreSim;
+pub use crate::core::{
+    ArrivalModel, CoreSim, DegradationPolicy, Overheads, SchedulerKind, SimEngine,
+};
 pub use crate::global::GlobalSim;
 pub use report::{CoreReport, SimReport};
 pub use scenario::{BurstOverrun, LevelCap, Probabilistic, Scenario, Scripted, SingleOverrun};
 pub use system::{
     simulate_partition, simulate_partition_parallel, simulate_partition_parallel_with,
-    simulate_partition_with, SimConfig, SimEngine, SimSetupError, SystemScheduler,
+    simulate_partition_with, SimConfig, SimSetupError, SystemScheduler,
 };
 pub use trace::{Trace, TraceEvent};

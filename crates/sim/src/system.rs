@@ -1,50 +1,18 @@
 //! Multicore simulation over a partition.
 //!
 //! Partitioned scheduling means the cores are fully independent: the system
-//! simulation runs each core's subset through one of the two per-core
-//! engines — [`CoreSim`] (the oracle) or [`EventCoreSim`] (the
-//! discrete-event engine), selected by [`SimEngine`] — and aggregates the
-//! reports. Scenarios are instantiated per core (seeded independently) so
-//! overrun randomness does not correlate across cores.
+//! simulation runs each core's subset through [`CoreSim`], on the release
+//! index [`SimEngine`] selects, and aggregates the reports. Scenarios are
+//! instantiated per core (seeded independently) so overrun randomness does
+//! not correlate across cores.
 
 use mcs_analysis::{Theorem1, VdAssignment};
 use mcs_model::{CoreId, McTask, Partition, TaskSet, Tick, UtilTable};
 
-use crate::core::{CoreSim, SchedulerKind};
-use crate::event::EventCoreSim;
+use crate::core::{CoreSim, SchedulerKind, SimEngine};
 use crate::report::SimReport;
 use crate::scenario::Scenario;
 use crate::trace::Trace;
-
-/// Which per-core engine a system simulation runs. Both produce
-/// bit-identical traces and reports (DESIGN.md#tick-oracle-differential-contract);
-/// the choice is purely a wall-clock trade: [`SimEngine::Event`] for long
-/// horizons and wide sweeps, [`SimEngine::Tick`] as the differential
-/// oracle.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SimEngine {
-    /// The scan-based oracle engine ([`CoreSim`]) — the legacy default.
-    #[default]
-    Tick,
-    /// The heap-scheduled discrete-event engine ([`EventCoreSim`]).
-    Event,
-}
-
-impl SimEngine {
-    fn run_core<S: Scenario>(
-        self,
-        tasks: Vec<&McTask>,
-        kind: SchedulerKind,
-        scenario: &mut S,
-        horizon: Tick,
-        trace: &mut Trace,
-    ) -> crate::report::CoreReport {
-        match self {
-            SimEngine::Tick => CoreSim::new(tasks, kind).run(scenario, horizon, trace),
-            SimEngine::Event => EventCoreSim::new(tasks, kind).run(scenario, horizon, trace),
-        }
-    }
-}
 
 /// Configuration for a multicore simulation run.
 #[derive(Clone, Debug)]
@@ -158,26 +126,47 @@ where
     let mut traces = Vec::with_capacity(partition.num_cores());
 
     for core in CoreId::all(partition.num_cores()) {
-        let tasks: Vec<&McTask> = partition.tasks_on(core).map(|id| ts.task(id)).collect();
-        let kind = match scheduler {
-            SystemScheduler::PlainEdf => SchedulerKind::PlainEdf,
-            SystemScheduler::FixedPriorityDm => SchedulerKind::deadline_monotonic(&tasks),
-            SystemScheduler::EdfVd => {
-                let table = UtilTable::from_tasks(ts.num_levels(), tasks.iter().copied());
-                let analysis = Theorem1::compute(&table);
-                let vd = VdAssignment::compute(&table, &analysis)
-                    .ok_or(SimSetupError::InfeasibleCore { core })?;
-                SchedulerKind::EdfVd(vd)
-            }
-        };
-        let horizon = config.horizon_for(&tasks);
-        let mut trace =
-            if config.trace_cap > 0 { Trace::enabled(config.trace_cap) } else { Trace::disabled() };
+        let (sim, horizon) = core_setup(ts, partition, scheduler, config, engine, core)?;
+        let mut trace = new_trace(config.trace_cap);
         let mut scenario = make_scenario(core.index());
-        reports.push(engine.run_core(tasks, kind, &mut scenario, horizon, &mut trace));
+        reports.push(sim.run(&mut scenario, horizon, &mut trace));
         traces.push(trace);
     }
     Ok((SimReport { cores: reports }, traces))
+}
+
+/// One core's simulator and derived horizon, or the setup error that
+/// core raises.
+fn core_setup<'a>(
+    ts: &'a TaskSet,
+    partition: &Partition,
+    scheduler: SystemScheduler,
+    config: &SimConfig,
+    engine: SimEngine,
+    core: CoreId,
+) -> Result<(CoreSim<'a>, Tick), SimSetupError> {
+    let tasks: Vec<&McTask> = partition.tasks_on(core).map(|id| ts.task(id)).collect();
+    let kind = match scheduler {
+        SystemScheduler::PlainEdf => SchedulerKind::PlainEdf,
+        SystemScheduler::FixedPriorityDm => SchedulerKind::deadline_monotonic(&tasks),
+        SystemScheduler::EdfVd => {
+            let table = UtilTable::from_tasks(ts.num_levels(), tasks.iter().copied());
+            let analysis = Theorem1::compute(&table);
+            let vd = VdAssignment::compute(&table, &analysis)
+                .ok_or(SimSetupError::InfeasibleCore { core })?;
+            SchedulerKind::EdfVd(vd)
+        }
+    };
+    let horizon = config.horizon_for(&tasks);
+    Ok((CoreSim::new(tasks, kind).with_engine(engine), horizon))
+}
+
+fn new_trace(cap: usize) -> Trace {
+    if cap > 0 {
+        Trace::enabled(cap)
+    } else {
+        Trace::disabled()
+    }
 }
 
 #[cfg(test)]
@@ -375,54 +364,19 @@ where
     }
 
     // Per-core setup happens serially (cheap); only the runs fan out.
-    struct CoreJob<'a, S> {
-        tasks: Vec<&'a McTask>,
-        kind: SchedulerKind,
-        horizon: Tick,
-        scenario: S,
-        trace_cap: usize,
-    }
-    let mut jobs: Vec<CoreJob<'_, S>> = Vec::with_capacity(partition.num_cores());
+    let mut jobs = Vec::with_capacity(partition.num_cores());
     for core in CoreId::all(partition.num_cores()) {
-        let tasks: Vec<&McTask> = partition.tasks_on(core).map(|id| ts.task(id)).collect();
-        let kind = match scheduler {
-            SystemScheduler::PlainEdf => SchedulerKind::PlainEdf,
-            SystemScheduler::FixedPriorityDm => SchedulerKind::deadline_monotonic(&tasks),
-            SystemScheduler::EdfVd => {
-                let table = UtilTable::from_tasks(ts.num_levels(), tasks.iter().copied());
-                let analysis = Theorem1::compute(&table);
-                let vd = VdAssignment::compute(&table, &analysis)
-                    .ok_or(SimSetupError::InfeasibleCore { core })?;
-                SchedulerKind::EdfVd(vd)
-            }
-        };
-        let horizon = config.horizon_for(&tasks);
-        jobs.push(CoreJob {
-            tasks,
-            kind,
-            horizon,
-            scenario: make_scenario(core.index()),
-            trace_cap: config.trace_cap,
-        });
+        let (sim, horizon) = core_setup(ts, partition, scheduler, config, engine, core)?;
+        jobs.push((sim, horizon, make_scenario(core.index())));
     }
 
     let results: Vec<(crate::report::CoreReport, Trace)> = crossbeam::thread::scope(|s| {
         let handles: Vec<_> = jobs
             .into_iter()
-            .map(|mut job| {
+            .map(|(sim, horizon, mut scenario)| {
                 s.spawn(move |_| {
-                    let mut trace = if job.trace_cap > 0 {
-                        Trace::enabled(job.trace_cap)
-                    } else {
-                        Trace::disabled()
-                    };
-                    let report = engine.run_core(
-                        job.tasks,
-                        job.kind,
-                        &mut job.scenario,
-                        job.horizon,
-                        &mut trace,
-                    );
+                    let mut trace = new_trace(config.trace_cap);
+                    let report = sim.run(&mut scenario, horizon, &mut trace);
                     (report, trace)
                 })
             })
