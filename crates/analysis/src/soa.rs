@@ -20,7 +20,12 @@
 //!   contiguous planes evaluates all M cores in fixed-width lanes of
 //!   [`LANES`] with branch-free inner loops, a fused λ-recursion/µ-product
 //!   pass shared across cores, and the early-exit conditions folded as
-//!   per-lane masks instead of per-core control flow.
+//!   per-lane masks instead of per-core control flow;
+//! * [`batch_probe_verdicts_until`] — the same sweep with a stop
+//!   predicate: it ends after the first chunk holding a verdict the
+//!   predicate accepts, so a first-fit search evaluates only the chunks up
+//!   to its core. Both entry points run one `batch_sweep::<K>`; the full
+//!   sweep passes a constant-false predicate that compiles away.
 //!
 //! # Bit-identity of the batch kernel
 //!
@@ -187,14 +192,6 @@ impl CoreBank {
     #[must_use]
     pub fn num_cores(&self) -> usize {
         self.cores
-    }
-
-    /// Lane slots per plane (`cores` rounded up to [`LANES`]) — the number
-    /// of per-lane evaluations one batch sweep performs.
-    #[inline]
-    #[must_use]
-    pub fn lane_slots(&self) -> usize {
-        self.stride
     }
 
     /// Accumulate a task row on core `m` (mirrors [`CoreSums::add`]).
@@ -463,6 +460,24 @@ fn lane_sel(mask: u64, a: f64, b: f64) -> f64 {
 /// masked control flow preserves the scalar operation sequence.
 // lint: no_alloc
 pub fn batch_probe_verdicts(bank: &CoreBank, plus: &TaskRow, out: &mut Vec<Verdict>) {
+    // A constant-false stop folds away: the full sweep compiles to the
+    // plain chunk loop.
+    batch_probe_verdicts_until(bank, plus, out, |_| false);
+}
+
+/// [`batch_probe_verdicts`] with a stop predicate: the cores are swept in
+/// [`LANES`]-wide chunks in core order, and the sweep ends after the first
+/// chunk holding a verdict for which `stop` is true. `out` then holds the
+/// verdicts of every evaluated chunk (a prefix of the full sweep's, bit
+/// for bit), so a first-fit search reads its core as the first verdict
+/// that passes and pays only for the chunks up to it.
+// lint: no_alloc
+pub fn batch_probe_verdicts_until(
+    bank: &CoreBank,
+    plus: &TaskRow,
+    out: &mut Vec<Verdict>,
+    stop: impl Fn(&Verdict) -> bool,
+) {
     assert!(plus.level <= bank.k, "task level {} exceeds system K={}", plus.level, bank.k);
     out.clear();
     // Monomorphize the sweep per system level count: with `K` const, every
@@ -470,14 +485,14 @@ pub fn batch_probe_verdicts(bank: &CoreBank, plus: &TaskRow, out: &mut Vec<Verdi
     // vector registers across the whole chunk instead of bouncing through
     // the stack between loops (a ~2× throughput difference at K ≥ 4).
     match bank.k {
-        1 => batch_sweep::<1>(bank, plus, out),
-        2 => batch_sweep::<2>(bank, plus, out),
-        3 => batch_sweep::<3>(bank, plus, out),
-        4 => batch_sweep::<4>(bank, plus, out),
-        5 => batch_sweep::<5>(bank, plus, out),
-        6 => batch_sweep::<6>(bank, plus, out),
-        7 => batch_sweep::<7>(bank, plus, out),
-        8 => batch_sweep::<8>(bank, plus, out),
+        1 => batch_sweep::<1>(bank, plus, out, stop),
+        2 => batch_sweep::<2>(bank, plus, out, stop),
+        3 => batch_sweep::<3>(bank, plus, out, stop),
+        4 => batch_sweep::<4>(bank, plus, out, stop),
+        5 => batch_sweep::<5>(bank, plus, out, stop),
+        6 => batch_sweep::<6>(bank, plus, out, stop),
+        7 => batch_sweep::<7>(bank, plus, out, stop),
+        8 => batch_sweep::<8>(bank, plus, out, stop),
         _ => unreachable!("CoreBank::reset bounds K to 1..=MAX_LEVELS"), // lint: allow(panic-policy, K > MAX_LEVELS is rejected at CoreBank::reset; this arm is dead by construction)
     }
 }
@@ -554,121 +569,139 @@ fn fold_step(
     }
 }
 
-/// One full sweep of the batch kernel for a compile-time level count `K`
-/// (equal to the bank's runtime `k`, enforced by the dispatcher above).
+/// One sweep of the batch kernel for a compile-time level count `K`
+/// (equal to the bank's runtime `k`, enforced by the dispatcher above):
+/// chunk after chunk in core order until `stop` holds for a verdict of
+/// the chunk just emitted, or the cores run out.
 // lint: no_alloc
-fn batch_sweep<const K: u8>(bank: &CoreBank, plus: &TaskRow, out: &mut Vec<Verdict>) {
+fn batch_sweep<const K: u8>(
+    bank: &CoreBank,
+    plus: &TaskRow,
+    out: &mut Vec<Verdict>,
+    stop: impl Fn(&Verdict) -> bool,
+) {
     debug_assert_eq!(bank.k, K);
-    let k = K;
     let mut base = 0;
     while base < bank.cores {
-        // own_level_total: ascending-k fold per lane.
-        let mut olt = [0.0f64; LANES];
-        for kk in 1..=k {
-            let a = lane_at(bank, base, kk, kk, plus);
-            for (o, a) in olt.iter_mut().zip(&a) {
-                *o += a;
-            }
-        }
-        if k == 1 {
-            for &olt in olt.iter().take(bank.cores - base) {
-                let u = (olt <= 1.0 + EPS).then_some(olt);
-                out.push(Verdict {
-                    own_level_total: olt,
-                    core_utilization: u,
-                    core_utilization_slack: u,
-                });
-            }
-            base += LANES;
-            continue;
-        }
-
-        // min-term: min{ U_K(K), U_K(K-1)/(1-U_K(K)) } per lane. The
-        // division runs unconditionally (IEEE ∞/NaN, no traps) and the
-        // guard becomes a select, so the loop is a straight vector lane.
-        let ukk = lane_at(bank, base, k, k, plus);
-        let ukk1 = lane_at(bank, base, k, k - 1, plus);
-        let mut minterm = [0.0f64; LANES];
-        for l in 0..LANES {
-            let q = ukk1[l] / (1.0 - ukk[l]);
-            let fraction = if 1.0 - ukk[l] > EPS { q } else { f64::INFINITY };
-            minterm[l] = ukk[l].min(fraction);
-        }
-
-        // θ(k) suffix sums, built descending as the scalar kernel does.
-        let mut suffix = [0.0f64; LANES];
-        let mut thetas = [[0.0f64; LANES]; ML];
-        for i in (1..=k - 1).rev() {
-            let a = lane_at(bank, base, i, i, plus);
-            let th = &mut thetas[usize::from(i - 1)];
-            for l in 0..LANES {
-                suffix[l] += a[l];
-                th[l] = suffix[l] + minterm[l];
-            }
-        }
-
-        // Fused λ recursion / µ product / Eq. (9) folds. `alive[l]` is the
-        // mask form of the scalar λ-break; the Option accumulators become
-        // value+flag pairs with the same max operand order. Every lane
-        // computes unconditionally and commits through selects — divisions
-        // on dead or guarded lanes produce IEEE ∞/NaN that the selects
-        // discard, never a trap — so each loop body is straight-line
-        // vector code. The scalar kernel folds `best` and `best_slack`
-        // under one shared condition, so a single `has` flag serves both.
-        let mut alive = [u64::MAX; LANES];
-        let mut muprod = [1.0f64; LANES];
-        let mut best = [0.0f64; LANES];
-        let mut best_slack = [0.0f64; LANES];
-        let mut has = [0u64; LANES];
-        // The scalar `for kk in 1..=K-1` recursion, unrolled by hand into
-        // const-generic steps: LLVM refuses to unroll the rolled loop (the
-        // body is past its size threshold), which forces every lane array
-        // through the stack on each iteration. Spelled out per `kk`, the
-        // whole fused section keeps its state in vector registers. `K ≥ n`
-        // gates are compile-time, so each monomorphization carries exactly
-        // its own steps; the λ-break becomes `break 'fused`.
-        'fused: {
-            fold_step(&thetas[0], &muprod, &alive, &mut best, &mut best_slack, &mut has);
-            macro_rules! step {
-                ($kk:literal) => {
-                    if K > $kk {
-                        if !lambda_step::<$kk, K>(bank, base, plus, &mut muprod, &mut alive) {
-                            // Every lane broke — nothing further can fold
-                            // (the scalar kernels have all returned too).
-                            break 'fused;
-                        }
-                        fold_step(
-                            &thetas[$kk - 1],
-                            &muprod,
-                            &alive,
-                            &mut best,
-                            &mut best_slack,
-                            &mut has,
-                        );
-                    }
-                };
-            }
-            step!(2);
-            step!(3);
-            step!(4);
-            step!(5);
-            step!(6);
-            step!(7);
-        }
-
-        for l in 0..LANES.min(bank.cores - base) {
-            // `then_some` (not if/else) so the Some/None tag is a data move,
-            // not a per-lane data-dependent branch: with hundreds of task
-            // sets cycling through the predictor, 16 such branches per chunk
-            // were the dominant misprediction source.
-            let found = has[l] != 0;
-            out.push(Verdict {
-                own_level_total: olt[l],
-                core_utilization: found.then_some(best[l]),
-                core_utilization_slack: found.then_some(1.0 - best_slack[l]),
-            });
+        let start = out.len();
+        batch_chunk::<K>(bank, base, plus, out);
+        if out[start..].iter().any(&stop) {
+            return;
         }
         base += LANES;
+    }
+}
+
+/// The verdicts of the [`LANES`] cores from `base` on (fewer in the last
+/// chunk), appended to `out` in core order.
+// lint: no_alloc
+#[inline(always)]
+fn batch_chunk<const K: u8>(bank: &CoreBank, base: usize, plus: &TaskRow, out: &mut Vec<Verdict>) {
+    let k = K;
+    // own_level_total: ascending-k fold per lane.
+    let mut olt = [0.0f64; LANES];
+    for kk in 1..=k {
+        let a = lane_at(bank, base, kk, kk, plus);
+        for (o, a) in olt.iter_mut().zip(&a) {
+            *o += a;
+        }
+    }
+    if k == 1 {
+        for &olt in olt.iter().take(bank.cores - base) {
+            let u = (olt <= 1.0 + EPS).then_some(olt);
+            out.push(Verdict {
+                own_level_total: olt,
+                core_utilization: u,
+                core_utilization_slack: u,
+            });
+        }
+        return;
+    }
+
+    // min-term: min{ U_K(K), U_K(K-1)/(1-U_K(K)) } per lane. The
+    // division runs unconditionally (IEEE ∞/NaN, no traps) and the
+    // guard becomes a select, so the loop is a straight vector lane.
+    let ukk = lane_at(bank, base, k, k, plus);
+    let ukk1 = lane_at(bank, base, k, k - 1, plus);
+    let mut minterm = [0.0f64; LANES];
+    for l in 0..LANES {
+        let q = ukk1[l] / (1.0 - ukk[l]);
+        let fraction = if 1.0 - ukk[l] > EPS { q } else { f64::INFINITY };
+        minterm[l] = ukk[l].min(fraction);
+    }
+
+    // θ(k) suffix sums, built descending as the scalar kernel does.
+    let mut suffix = [0.0f64; LANES];
+    let mut thetas = [[0.0f64; LANES]; ML];
+    for i in (1..=k - 1).rev() {
+        let a = lane_at(bank, base, i, i, plus);
+        let th = &mut thetas[usize::from(i - 1)];
+        for l in 0..LANES {
+            suffix[l] += a[l];
+            th[l] = suffix[l] + minterm[l];
+        }
+    }
+
+    // Fused λ recursion / µ product / Eq. (9) folds. `alive[l]` is the
+    // mask form of the scalar λ-break; the Option accumulators become
+    // value+flag pairs with the same max operand order. Every lane
+    // computes unconditionally and commits through selects — divisions
+    // on dead or guarded lanes produce IEEE ∞/NaN that the selects
+    // discard, never a trap — so each loop body is straight-line
+    // vector code. The scalar kernel folds `best` and `best_slack`
+    // under one shared condition, so a single `has` flag serves both.
+    let mut alive = [u64::MAX; LANES];
+    let mut muprod = [1.0f64; LANES];
+    let mut best = [0.0f64; LANES];
+    let mut best_slack = [0.0f64; LANES];
+    let mut has = [0u64; LANES];
+    // The scalar `for kk in 1..=K-1` recursion, unrolled by hand into
+    // const-generic steps: LLVM refuses to unroll the rolled loop (the
+    // body is past its size threshold), which forces every lane array
+    // through the stack on each iteration. Spelled out per `kk`, the
+    // whole fused section keeps its state in vector registers. `K ≥ n`
+    // gates are compile-time, so each monomorphization carries exactly
+    // its own steps; the λ-break becomes `break 'fused`.
+    'fused: {
+        fold_step(&thetas[0], &muprod, &alive, &mut best, &mut best_slack, &mut has);
+        macro_rules! step {
+            ($kk:literal) => {
+                if K > $kk {
+                    if !lambda_step::<$kk, K>(bank, base, plus, &mut muprod, &mut alive) {
+                        // Every lane broke — nothing further can fold
+                        // (the scalar kernels have all returned too).
+                        break 'fused;
+                    }
+                    fold_step(
+                        &thetas[$kk - 1],
+                        &muprod,
+                        &alive,
+                        &mut best,
+                        &mut best_slack,
+                        &mut has,
+                    );
+                }
+            };
+        }
+        step!(2);
+        step!(3);
+        step!(4);
+        step!(5);
+        step!(6);
+        step!(7);
+    }
+
+    for l in 0..LANES.min(bank.cores - base) {
+        // `then_some` (not if/else) so the Some/None tag is a data move,
+        // not a per-lane data-dependent branch: with hundreds of task
+        // sets cycling through the predictor, 16 such branches per chunk
+        // were the dominant misprediction source.
+        let found = has[l] != 0;
+        out.push(Verdict {
+            own_level_total: olt[l],
+            core_utilization: found.then_some(best[l]),
+            core_utilization_slack: found.then_some(1.0 - best_slack[l]),
+        });
     }
 }
 

@@ -16,12 +16,22 @@ pub struct PhaseSpan {
 }
 
 impl Drop for PhaseSpan {
+    /// Inlined, so an inert guard costs its span site one branch and no
+    /// call; only a timed guard leaves the line, into [`record`].
+    #[inline]
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            registry::record_phase(self.phase, ns);
+            record(self.phase, start);
         }
     }
+}
+
+/// The timed half of [`PhaseSpan`]'s drop, kept out of line.
+#[cold]
+#[inline(never)]
+fn record(phase: Phase, start: Instant) {
+    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    registry::record_phase(phase, ns);
 }
 
 /// Start timing `phase`. When timing is off (or telemetry is compiled

@@ -32,10 +32,11 @@
 //! after any admit/depart/repair interleaving, [`AdmissionEngine::state_identical_to_rebuild`]
 //! must hold and the resulting partition must re-certify Theorem 1.
 
-use mcs_analysis::CoreSums;
+use mcs_analysis::{CoreSums, Verdict};
 use mcs_model::{CoreId, CritLevel, LevelUtils, Partition, TaskId, TaskSet};
 use mcs_obs::{Counter, EventKind, Phase};
 
+use crate::binpack::{pick_core, Placement};
 use crate::catpa::select_core;
 use crate::engine::ProbeEngine;
 use crate::registry::{SchemeFlags, SchemeInfo, SchemeRegistry};
@@ -65,26 +66,15 @@ impl Decision {
     }
 }
 
-/// Online core-selection rule of one admission policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum PolicyKind {
-    /// CA-TPA's probe selection: minimize the utilization *increment*,
-    /// falling back to min-utilization when the imbalance Λ exceeds α.
-    MinIncrement,
-    /// Lowest-index feasible core (FFD's online reading).
-    FirstFit,
-    /// Fullest feasible core — highest committed utilization (BFD).
-    BestFit,
-    /// Emptiest feasible core — lowest committed utilization (WFD).
-    WorstFit,
-}
-
 /// A pluggable admission policy: a registered placement scheme's metadata
 /// mapped onto an online selection rule.
 #[derive(Clone, Copy, Debug)]
 pub struct AdmissionPolicy {
     name: &'static str,
-    kind: PolicyKind,
+    /// A bin-packer's placement over the committed utilizations (FFD:
+    /// lowest-index feasible core, BFD: fullest, WFD: emptiest); `None`
+    /// for CA-TPA's minimum-increment selection with its α fallback.
+    fit: Option<Placement>,
     alpha: Option<f64>,
 }
 
@@ -92,7 +82,7 @@ impl AdmissionPolicy {
     /// The default policy: CA-TPA with the paper's α.
     #[must_use]
     pub fn catpa() -> Self {
-        Self { name: "CA-TPA", kind: PolicyKind::MinIncrement, alpha: Some(DEFAULT_ALPHA) }
+        Self { name: "CA-TPA", fit: None, alpha: Some(DEFAULT_ALPHA) }
     }
 
     /// Derive the online policy of a registered scheme, `None` when the
@@ -100,14 +90,14 @@ impl AdmissionPolicy {
     /// stateful metaheuristics).
     #[must_use]
     pub fn from_scheme(info: &SchemeInfo, flags: &SchemeFlags) -> Option<Self> {
-        let kind = match info.name {
-            "CA-TPA" | "CA-TPA+LS" => PolicyKind::MinIncrement,
-            "FFD" => PolicyKind::FirstFit,
-            "BFD" => PolicyKind::BestFit,
-            "WFD" => PolicyKind::WorstFit,
+        let fit = match info.name {
+            "CA-TPA" | "CA-TPA+LS" => None,
+            "FFD" => Some(Placement::FirstFit),
+            "BFD" => Some(Placement::BestFit),
+            "WFD" => Some(Placement::WorstFit),
             _ => return None,
         };
-        Some(Self { name: info.name, kind, alpha: info.effective_alpha(flags) })
+        Some(Self { name: info.name, fit, alpha: info.effective_alpha(flags) })
     }
 
     /// Look up a scheme by name in the standard registry and derive its
@@ -248,34 +238,16 @@ impl AdmissionEngine {
 
     /// Select a target core for `id` under the active policy, returning
     /// `(core, committed utilization)`; `None` when no core is feasible.
+    /// The fit policies key on the committed utilizations and pick with
+    /// the bin-packers' rule ([`pick_core`]).
     fn select(&mut self, id: TaskId) -> Option<(usize, f64)> {
-        if self.policy.kind == PolicyKind::MinIncrement {
+        let Some(placement) = self.policy.fit else {
             return select_core(&mut self.engine, id, self.policy.alpha);
-        }
+        };
         self.engine.note_attempt();
-        let kind = self.policy.kind;
         let (verdicts, utils) = self.engine.probe_all_cores(id);
-        let mut best: Option<(usize, f64, f64)> = None;
-        for (m, v) in verdicts.iter().enumerate() {
-            let Some(new_u) = v.core_utilization else { continue };
-            match kind {
-                PolicyKind::FirstFit => return Some((m, new_u)),
-                // Strict compares keep the first (lowest-index) core on
-                // ties, mirroring the batch heuristics' scan order.
-                PolicyKind::BestFit => {
-                    if best.is_none_or(|(_, key, _)| utils[m] > key) {
-                        best = Some((m, utils[m], new_u));
-                    }
-                }
-                PolicyKind::WorstFit => {
-                    if best.is_none_or(|(_, key, _)| utils[m] < key) {
-                        best = Some((m, utils[m], new_u));
-                    }
-                }
-                PolicyKind::MinIncrement => unreachable!("handled above"), // lint: allow(panic-policy, MinIncrement returns before the scan)
-            }
-        }
-        best.map(|(m, _, new_u)| (m, new_u))
+        let m = pick_core(placement, verdicts, utils, Verdict::feasible)?;
+        Some((m, verdicts[m].core_utilization.expect("picked cores are feasible")))
     }
 
     /// Commit `id` to core `m` with the probed utilization and record it

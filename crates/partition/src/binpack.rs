@@ -6,6 +6,7 @@
 //! ([`FitTest::SimpleThenImproved`]). The per-core "load" that best/worst
 //! fit compare is the classical own-level utilization sum `Σ u_i(l_i)`.
 
+use mcs_analysis::Verdict;
 use mcs_model::{CoreId, McTask, Partition, TaskId, TaskSet};
 
 use crate::engine::{with_scratch, ProbeEngine};
@@ -96,67 +97,67 @@ impl BinPacker {
     }
 }
 
-/// Place one task according to a placement policy, probing feasibility
-/// through the engine's zero-allocation kernel. `loads` are the classical
-/// per-core `Σ u_i(l_i)` sums best/worst fit compare; `rank` is a reused
-/// index buffer for the load-ordered probing of best/worst fit; `cursor`
-/// is only used (and advanced) by next-fit. Returns the chosen core or
-/// `None`.
+impl Placement {
+    /// The candidate core this placement prefers: the first for first and
+    /// next fit, else the highest (best fit) or lowest (worst fit) key.
+    /// Candidates come in index order and the compare is strict, so ties
+    /// keep the smaller index.
+    fn pick(self, keys: &[f64], mut candidates: impl Iterator<Item = usize>) -> Option<usize> {
+        let prefers = match self {
+            Placement::BestFit => |a: f64, b: f64| a > b,
+            Placement::WorstFit => |a: f64, b: f64| a < b,
+            Placement::FirstFit | Placement::NextFit => return candidates.next(),
+        };
+        candidates.reduce(|best, m| if prefers(keys[m], keys[best]) { m } else { best })
+    }
+}
+
+/// The selection rule over one sweep's verdicts, shared by the bin-packers
+/// and the admission engine's fit policies: [`Placement::pick`] among the
+/// cores whose verdict passes.
+// lint: no_alloc
+pub(crate) fn pick_core(
+    placement: Placement,
+    verdicts: &[Verdict],
+    keys: &[f64],
+    pass: impl Fn(&Verdict) -> bool,
+) -> Option<usize> {
+    placement.pick(keys, verdicts.iter().enumerate().filter(|(_, v)| pass(v)).map(|(m, _)| m))
+}
+
+/// Place one task according to a placement policy, or `None`. `loads` are
+/// the classical per-core `Σ u_i(l_i)` sums best/worst fit compare;
+/// `cursor` is next-fit's. First fit sweeps the batch kernel until the
+/// first lane chunk with a fitting core. Best/worst fit probe the
+/// extremal-load core alone (it almost always fits: WFD stays near one
+/// probe per task) and only on a reject sweep every core. Next fit probes
+/// from its cursor. Verdicts equal the scalar [`ProbeEngine::fits`] bit
+/// for bit, so each choice is the probe-every-core reference loop's.
 pub(crate) fn choose_core(
     placement: Placement,
     fit: FitTest,
-    engine: &ProbeEngine,
+    engine: &mut ProbeEngine,
     loads: &[f64],
-    rank: &mut Vec<usize>,
     id: TaskId,
     cursor: &mut usize,
 ) -> Option<usize> {
     engine.note_attempt();
-    let fits = |m: usize| -> bool { engine.fits(m, id, fit) };
+    let pass = |v: &Verdict| fit.passes(v);
     match placement {
-        Placement::FirstFit => (0..loads.len()).find(|&m| fits(m)),
-        // Best/worst fit probe candidates in preference order — load
-        // descending (best) / ascending (worst), ties → smaller index —
-        // and stop at the first feasible one. Outcome-identical to the
-        // classical probe-every-core fold: that fold selects the
-        // extremal-load feasible core with smallest-index tie-breaking,
-        // which is exactly the first feasible core in this order. The
-        // difference is probe count, not outcome: ~1 Theorem-1 probe per
-        // placement instead of M. The extremal core is found with a plain
-        // O(M) scan (it fits almost always — one probe, no sort); only
-        // when it rejects does the O(M log M) ranked fallback run.
+        Placement::FirstFit => {
+            pick_core(placement, engine.probe_cores_until(id, pass), loads, pass)
+        }
         Placement::BestFit | Placement::WorstFit => {
-            let preferred = |a: f64, b: f64| -> bool {
-                // Strict comparison keeps the smaller index on load ties.
-                if placement == Placement::BestFit {
-                    a > b
-                } else {
-                    a < b
-                }
-            };
-            let mut first = 0usize;
-            for (m, &load) in loads.iter().enumerate().skip(1) {
-                if preferred(load, loads[first]) {
-                    first = m;
-                }
-            }
-            if fits(first) {
+            let first = placement.pick(loads, 0..loads.len())?;
+            if engine.fits(first, id, fit) {
                 return Some(first);
             }
-            rank.clear();
-            rank.extend(0..loads.len());
-            rank.sort_unstable_by(|&a, &b| {
-                let by_load = loads[a].partial_cmp(&loads[b]).expect("loads are finite");
-                let by_load =
-                    if placement == Placement::BestFit { by_load.reverse() } else { by_load };
-                by_load.then_with(|| a.cmp(&b))
-            });
-            rank.iter().copied().filter(|&m| m != first).find(|&m| fits(m))
+            pick_core(placement, engine.probe_all_cores(id).0, loads, pass)
         }
         Placement::NextFit => {
             for step in 0..loads.len() {
                 let m = (*cursor + step) % loads.len();
-                if fits(m) {
+                if engine.fits(m, id, fit) {
                     *cursor = m;
                     return Some(m);
                 }
@@ -183,15 +184,7 @@ impl Partitioner for BinPacker {
             let mut partition = Partition::empty(cores, ts.len());
             let mut cursor = 0usize;
             for (placed, &id) in scratch.order.iter().enumerate() {
-                match choose_core(
-                    self.placement,
-                    self.fit,
-                    engine,
-                    loads,
-                    &mut scratch.rank,
-                    id,
-                    &mut cursor,
-                ) {
+                match choose_core(self.placement, self.fit, engine, loads, id, &mut cursor) {
                     Some(m) => {
                         loads[m] += engine.util_own(id);
                         engine.place_untracked(id, m);

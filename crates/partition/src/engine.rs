@@ -31,7 +31,8 @@
 use std::cell::{Cell, RefCell};
 
 use mcs_analysis::{
-    batch_probe_verdicts, CoreBank, CoreSums, CoreView, Probe, TaskRow, TaskTable, Verdict, EPS,
+    batch_probe_verdicts, batch_probe_verdicts_until, CoreBank, CoreSums, CoreView, Probe, TaskRow,
+    TaskTable, Verdict, EPS, LANES,
 };
 use mcs_model::{CritLevel, TaskId, TaskSet};
 use mcs_obs::{Counter, Phase};
@@ -187,15 +188,16 @@ impl ProbeEngine {
         }
     }
 
-    /// Count one batch sweep: one call, its lane slots, and one decided
-    /// probe per emitted verdict.
+    /// Count one batch sweep: one call, the lane slots of the chunks it
+    /// evaluated (all of them unless a stop predicate ended it early), and
+    /// one decided probe per emitted verdict.
     #[inline]
-    fn note_sweep(&self, verdicts: &[Verdict], lane_slots: usize) {
+    fn note_sweep(&self, verdicts: &[Verdict]) {
         if mcs_obs::compiled() {
             let issued = verdicts.len() as u64;
             let feasible = verdicts.iter().filter(|v| v.feasible()).count() as u64;
             bump(&self.tally.batch_calls, 1);
-            bump(&self.tally.batch_lanes, lane_slots as u64);
+            bump(&self.tally.batch_lanes, (verdicts.len().div_ceil(LANES) * LANES) as u64);
             bump(&self.tally.issued, issued);
             bump(&self.tally.feasible, feasible);
             bump(&self.tally.rejected, issued - feasible);
@@ -266,13 +268,31 @@ impl ProbeEngine {
     /// scalar [`Self::probe_verdict`] of the same core.
     // lint: no_alloc
     pub fn probe_all_cores(&mut self, id: TaskId) -> (&[Verdict], &[f64]) {
+        self.sweep(id, batch_probe_verdicts);
+        (&self.probes, &self.utils)
+    }
+
+    /// [`Self::probe_all_cores`] ending after the first lane chunk with a
+    /// verdict `stop` accepts ([`batch_probe_verdicts_until`]): a prefix
+    /// of the full sweep's verdicts, from which first fit reads its core.
+    // lint: no_alloc
+    pub fn probe_cores_until(&mut self, id: TaskId, stop: impl Fn(&Verdict) -> bool) -> &[Verdict] {
+        self.sweep(id, |bank, row, out| batch_probe_verdicts_until(bank, row, out, stop));
+        &self.probes
+    }
+
+    /// One timed, counted kernel sweep for `id` into the scratch buffer
+    /// (full sweeps pass [`batch_probe_verdicts`], the one compiled copy).
+    // lint: no_alloc
+    #[inline]
+    fn sweep(&mut self, id: TaskId, kernel: impl FnOnce(&CoreBank, &TaskRow, &mut Vec<Verdict>)) {
         let _timer = mcs_obs::span(Phase::ProbeBatch);
         let row = self.tasks.row(id.index());
         {
             let _kernel = mcs_obs::span(Phase::BatchKernel);
-            batch_probe_verdicts(&self.bank, &row, &mut self.probes);
+            kernel(&self.bank, &row, &mut self.probes);
         }
-        self.note_sweep(&self.probes, self.bank.lane_slots());
+        self.note_sweep(&self.probes);
         if mcs_obs::tracing_enabled() {
             let mut mask = 0u64;
             for (m, v) in self.probes.iter().enumerate().take(64) {
@@ -282,12 +302,12 @@ impl ProbeEngine {
             }
             self.last_sweep_mask = mask;
         }
-        (&self.probes, &self.utils)
     }
 
     /// Feasible-core bitmask of the most recent [`Self::probe_all_cores`]
-    /// sweep (stale unless the flight recorder is on; diagnostic only —
-    /// no placement decision may read it).
+    /// or [`Self::probe_cores_until`] sweep (stale unless the flight
+    /// recorder is on; diagnostic only — no placement decision may read
+    /// it).
     #[must_use]
     pub fn last_sweep_mask(&self) -> u64 {
         self.last_sweep_mask
@@ -350,7 +370,7 @@ impl ProbeEngine {
                 self.repair_cands.iter().map(|id| tasks.row(id.index())),
             );
             batch_probe_verdicts(&self.removals, &stuck, &mut self.swap_verdicts);
-            self.note_sweep(&self.swap_verdicts, self.removals.lane_slots());
+            self.note_sweep(&self.swap_verdicts);
             for (&cand, swap) in self.repair_cands.iter().zip(&self.swap_verdicts) {
                 if !swap.feasible() {
                     continue;
@@ -360,7 +380,7 @@ impl ProbeEngine {
                     &tasks.row(cand.index()),
                     &mut self.reloc_verdicts,
                 );
-                self.note_sweep(&self.reloc_verdicts, self.bank.lane_slots());
+                self.note_sweep(&self.reloc_verdicts);
                 let target = self
                     .reloc_verdicts
                     .iter()
@@ -568,8 +588,6 @@ pub struct PlacementScratch {
     pub totals: Vec<f64>,
     /// Classical per-core loads `Σ u_i(l_i)` (bin-packing family).
     pub loads: Vec<f64>,
-    /// Core-index ranking buffer (best/worst fit load-ordered probing).
-    pub rank: Vec<usize>,
     /// Per-core resident lists in placement order (CA-TPA+LS repair).
     pub members: Vec<Vec<TaskId>>,
 }
@@ -792,6 +810,42 @@ mod tests {
         assert_eq!(engine.utils(), &[0.0, 0.0]);
         assert_eq!(engine.imbalance(), 0.0);
         assert_eq!(engine.core(0).task_count(), 0);
+    }
+
+    #[test]
+    fn first_fit_sweep_counts_only_the_chunks_it_evaluated() {
+        // Cores 0..8 (the first lane chunk) each hold a 0.9 task, so a 0.5
+        // task fits nowhere there; cores 8..20 are empty. First fit stops
+        // after the second chunk: 16 verdicts in 16 lane slots, not 20 in
+        // the 24 of a full sweep.
+        let mut tasks: Vec<McTask> = (0..8).map(|i| task(i, 10, 1, &[9])).collect();
+        tasks.push(task(8, 10, 1, &[5]));
+        let ts = TaskSet::new(1, tasks).unwrap();
+        let mut engine = ProbeEngine::new();
+        engine.reset(&ts, 20);
+        for m in 0..8 {
+            engine.place_untracked(TaskId(u32::try_from(m).unwrap()), m);
+        }
+        let loads = [0.0; 20];
+        let chosen = crate::binpack::choose_core(
+            crate::binpack::Placement::FirstFit,
+            FitTest::default(),
+            &mut engine,
+            &loads,
+            TaskId(8),
+            &mut 0,
+        );
+        assert_eq!(chosen, Some(8));
+        // Every count is 0 with telemetry compiled out.
+        let on = u64::from(mcs_obs::compiled());
+        let t = &engine.tally;
+        assert_eq!(t.attempts.get(), on);
+        assert_eq!(t.batch_calls.get(), on);
+        assert_eq!(t.issued.get(), 16 * on);
+        assert_eq!(t.feasible.get(), 8 * on);
+        assert_eq!(t.rejected.get(), 8 * on);
+        assert_eq!(t.issued.get(), t.feasible.get() + t.rejected.get());
+        assert_eq!(t.batch_lanes.get(), 16 * on);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Feasibility predicates shared by the partitioning heuristics.
 
-use mcs_analysis::{simple_condition, Theorem1};
+use mcs_analysis::{simple_condition, Theorem1, Verdict};
 use mcs_model::LevelUtils;
 
 /// Which schedulability test a heuristic uses to decide whether a core can
@@ -13,7 +13,8 @@ pub enum FitTest {
     Improved,
     /// The paper's baseline procedure: Eq. (4) first, then Theorem 1 when
     /// the simple test fails. Logically equivalent to `Improved` (Eq. (4)
-    /// implies condition k = 1) but cheaper on the common path.
+    /// implies condition k = 1) but cheaper on the common path; in floating
+    /// point a set within an ulp of the Eq. (4) bound can pass only here.
     #[default]
     SimpleThenImproved,
 }
@@ -28,6 +29,19 @@ impl FitTest {
             FitTest::SimpleThenImproved => {
                 simple_condition(view) || Theorem1::compute(view).feasible()
             }
+        }
+    }
+
+    /// Whether a probe verdict passes this test: Eq. (4) is its own-level
+    /// total (the scalar Eq. (4) probe's fold), Theorem 1 its feasibility.
+    // lint: no_alloc
+    #[inline]
+    #[must_use]
+    pub fn passes(self, v: &Verdict) -> bool {
+        match self {
+            FitTest::Simple => v.plain_edf_sufficient(),
+            FitTest::Improved => v.feasible(),
+            FitTest::SimpleThenImproved => v.plain_edf_sufficient() || v.feasible(),
         }
     }
 

@@ -74,15 +74,7 @@ impl Partitioner for Hybrid {
                     .iter()
                     .filter(|&&id| (ts.task(id).level().get() >= self.split) == want_high)
                 {
-                    match choose_core(
-                        phase_placement,
-                        self.fit,
-                        engine,
-                        loads,
-                        &mut scratch.rank,
-                        id,
-                        &mut cursor,
-                    ) {
+                    match choose_core(phase_placement, self.fit, engine, loads, id, &mut cursor) {
                         Some(m) => {
                             loads[m] += engine.util_own(id);
                             engine.place_untracked(id, m);

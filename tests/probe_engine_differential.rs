@@ -12,10 +12,13 @@ use proptest::prelude::*;
 
 use mcs::analysis::{batch_probe_verdicts, CoreBank, CoreSums, TaskRow, Theorem1, Verdict};
 use mcs::gen::{generate_task_set, GenParams, WcetGrowth};
-use mcs::model::{LevelUtils, Partition, TaskId, TaskSet, UtilTable, WithTask};
+use mcs::model::{
+    LevelUtils, McTask, Partition, TaskBuilder, TaskId, TaskSet, UtilTable, WithTask,
+};
 use mcs::partition::{
-    paper_schemes, paper_schemes_weak, reference_paper_schemes, FitTest, Hybrid, PartitionFailure,
-    Partitioner, ProbeEngine, ReferenceBinPacker, ReferenceCatpa, ReferenceHybrid,
+    paper_schemes, paper_schemes_weak, reference_paper_schemes, BinPacker, FitTest, Hybrid,
+    PartitionFailure, Partitioner, ProbeEngine, ReferenceBinPacker, ReferenceCatpa,
+    ReferenceHybrid,
 };
 
 fn bits(v: Option<f64>) -> Option<u64> {
@@ -50,7 +53,7 @@ fn same_outcome(
 type DynScheme = Box<dyn Partitioner + Send + Sync>;
 
 fn scheme_pairs(fit: FitTest) -> Vec<(DynScheme, DynScheme)> {
-    use mcs::partition::{BinPacker, Catpa};
+    use mcs::partition::Catpa;
     vec![
         (
             Box::new(ReferenceBinPacker::wfd().with_fit(fit)) as DynScheme,
@@ -195,9 +198,13 @@ proptest! {
     /// On arbitrary (not generator-shaped) task sets, every optimized
     /// scheme emits exactly the partition its reference loop emits, under
     /// both the strong (Theorem-1) and weak (Eq. (4)) fit readings.
+    ///
+    /// Up to 20 cores cross the `LANES = 8` chunk boundaries of the batch
+    /// kernel (first fit stops after a chunk; a last chunk has padding
+    /// lanes), and up to 32 tasks fill whole chunks before the next opens.
     #[test]
-    fn optimized_schemes_match_references(ts in arb_task_set(12, 4), cores in 1usize..=4) {
-        for fit in [FitTest::default(), FitTest::Simple] {
+    fn optimized_schemes_match_references(ts in arb_task_set(32, 4), cores in 1usize..=20) {
+        for fit in [FitTest::default(), FitTest::Simple, FitTest::Improved] {
             for (reference, optimized) in scheme_pairs(fit) {
                 same_outcome(
                     &ts,
@@ -573,5 +580,94 @@ fn scheme_identity_at_128_cores() {
     for (optimized, reference) in weak.iter().zip(&weak_refs) {
         same_outcome(&ts, &reference.partition(&ts, 128), &optimized.partition(&ts, 128))
             .unwrap_or_else(|e| panic!("weak {} diverges at 128 cores: {e:?}", optimized.name()));
+    }
+}
+
+/// A generator seed whose 128-core, NSU-0.7 set defeats FFD, BFD and Hybrid.
+const SEED_128_FAIL: u64 = 0xC0FFEE;
+
+/// At 128 cores and NSU 0.7 the bin-packers run out of room: FFD, BFD and
+/// Hybrid fail, and the first task each cannot place and the count placed
+/// before it must be the reference's.
+#[test]
+fn failures_at_128_cores_match_references() {
+    let params = GenParams::default().with_n_range(1024, 1024).with_cores(128).with_nsu(0.7);
+    let ts = generate_task_set(&params, SEED_128_FAIL);
+    let pairs: Vec<(DynScheme, DynScheme)> = vec![
+        (Box::new(ReferenceBinPacker::ffd()), Box::new(BinPacker::ffd())),
+        (Box::new(ReferenceBinPacker::bfd()), Box::new(BinPacker::bfd())),
+        (Box::new(ReferenceHybrid::default()), Box::new(Hybrid::default())),
+    ];
+    for (reference, optimized) in pairs {
+        let expected = reference.partition(&ts, 128);
+        let got = optimized.partition(&ts, 128);
+        let Err(failure) = expected else {
+            panic!("{} places the whole set; pick another seed", reference.name())
+        };
+        assert_eq!(got.unwrap_err(), failure, "{} fails elsewhere", optimized.name());
+    }
+}
+
+fn task(id: u32, level: u8, wcet: &[u64]) -> McTask {
+    TaskBuilder::new(TaskId(id)).period(100).level(level).wcet(wcet).build().unwrap()
+}
+
+/// Best and worst fit fall back to a full sweep when the extremal-load
+/// core rejects; among the passing cores of equal load the smaller index
+/// must win, as in the reference's strict index-order fold.
+#[test]
+fn fallback_ties_take_the_smaller_core() {
+    // BFD, K = 1: 0.7 → P0. The fullest core rejects 0.6, so the sweep
+    // picks among the empty P1..P3 → P1; for the second 0.6, P0 and P1
+    // reject → P2 of the tied P2, P3.
+    let ts =
+        TaskSet::new(1, vec![task(0, 1, &[70]), task(1, 1, &[60]), task(2, 1, &[60])]).unwrap();
+    // WFD, K = 2: the HI tasks (0.05, 0.7) go to P0 and P1, the LO 0.6 to
+    // the empty P2. The LO 0.45 fails Theorem 1 on the emptiest P2
+    // (1.05 at level 1) but fits P0 and P1 (0.45 + 0.05/0.3 ≤ 1), which
+    // tie at load 0.7 → P0.
+    let hi_lo = TaskSet::new(
+        2,
+        vec![task(0, 2, &[5, 70]), task(1, 2, &[5, 70]), task(2, 1, &[60]), task(3, 1, &[45])],
+    )
+    .unwrap();
+    for (ts, cores, reference, optimized, expected) in [
+        (&ts, 4, ReferenceBinPacker::bfd(), BinPacker::bfd(), vec![0u16, 1, 2]),
+        (&hi_lo, 3, ReferenceBinPacker::wfd(), BinPacker::wfd(), vec![0, 1, 2, 0]),
+    ] {
+        let p = optimized.partition(ts, cores).unwrap();
+        let cores_of: Vec<u16> = ts.tasks().iter().map(|t| p.core_of(t.id()).unwrap().0).collect();
+        assert_eq!(cores_of, expected, "{}", optimized.name());
+        same_outcome(ts, &reference.partition(ts, cores), &Ok(p)).unwrap();
+    }
+}
+
+/// Eq. (4) and Theorem 1 agree in exact arithmetic, but not always in
+/// floating point: this one-core set sums to 1 + 1e-12 at the own levels,
+/// which Eq. (4)'s ascending fold accepts and Theorem 1's descending θ(1)
+/// fold rounds just past its bound. The paper's two-stage test must keep
+/// its Eq. (4) disjunct to place the set, as the reference does.
+#[test]
+fn eq4_disjunct_places_a_set_theorem1_rounds_out() {
+    const P: u64 = 1_000_000_000_000;
+    let wcets = [77_752_400_679u64, 135_900_389, 150_397_660_469, 771_714_038_464];
+    let tasks = (1u8..=4)
+        .zip(wcets)
+        .map(|(l, c)| {
+            TaskBuilder::new(TaskId(u32::from(l) - 1))
+                .period(P)
+                .level(l)
+                .wcet(&vec![c; usize::from(l)])
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let ts = TaskSet::new(4, tasks).unwrap();
+    assert!(BinPacker::ffd().with_fit(FitTest::Improved).partition(&ts, 1).is_err());
+    // The bin-packers; CA-TPA probes with Theorem 1 alone.
+    for (reference, optimized) in scheme_pairs(FitTest::default()).into_iter().take(5) {
+        let expected = reference.partition(&ts, 1);
+        assert!(expected.is_ok(), "{} rejects the set", reference.name());
+        same_outcome(&ts, &expected, &optimized.partition(&ts, 1)).unwrap();
     }
 }
