@@ -12,7 +12,7 @@
 use mcs_model::{CritLevel, McTask, Tick};
 
 use crate::core::SchedulerKind;
-use crate::report::CoreReport;
+use crate::report::{CoreReport, ResponseSlots};
 use crate::scenario::Scenario;
 use crate::trace::{Trace, TraceEvent};
 
@@ -74,6 +74,7 @@ impl<'a> GlobalSim<'a> {
         let mut next_release: Vec<Tick> = vec![0; self.tasks.len()];
         let mut next_index: Vec<u64> = vec![0; self.tasks.len()];
         let mut ready: Vec<GJob> = Vec::new();
+        let mut responses = ResponseSlots::new(self.tasks.len());
 
         loop {
             // Releases due now (suppressed below the mode, as in AMC).
@@ -220,7 +221,7 @@ impl<'a> GlobalSim<'a> {
                 }
                 trace.push(TraceEvent::Complete { time, task: task.id(), job: job.index, late });
                 report.completed += 1;
-                report.record_response(task.id(), time - job.release);
+                responses.record(&mut report, job.slot, task.id(), time - job.release);
                 if let Some(o) = overrun.as_mut() {
                     // Keep the overrun index valid across swap_remove.
                     if *o == ready.len() - 1 {

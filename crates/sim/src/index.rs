@@ -1,18 +1,24 @@
 //! Pending-release indexes for the one per-core run loop
 //! ([`crate::CoreSim`]).
 //!
-//! The loop asks its index two questions per scheduling stop — which slots
-//! have a release due now, and when the earliest *active* release is —
-//! and tells it once per drained slot where that slot's next release
-//! lies. Everything else (drain, miss sweep, dispatch, budgets, mode
-//! switches, idle resets) is the loop's own, so two indexes that answer
-//! the questions identically produce bit-identical traces
+//! The loop keeps every slot's next release instant in one packed vector
+//! and asks its index three questions about it: when the earliest pending
+//! release is (over all slots), which slots are due once time reaches it,
+//! and when the earliest *active* release is. It asks the first after each
+//! drain, the second only when time has reached the first's answer, and
+//! the third only after a drain or a mode change (at level 1 every slot is
+//! active, so it reuses the first answer there). A stop with nothing due
+//! and no mode change asks nothing. The loop tells the index once per
+//! drained slot where that slot's next release lies. Everything else
+//! (drain, miss sweep, dispatch, budgets, mode switches, idle resets) is
+//! the loop's own, so two indexes that answer the questions identically
+//! produce bit-identical traces
 //! (DESIGN.md#tick-oracle-differential-contract):
 //!
-//! * [`ScanIndex`] answers by scanning every slot — `O(N)` per stop, the
-//!   differential oracle;
+//! * [`ScanIndex`] answers with branch-free passes over all slots —
+//!   `O(N)` per drain or mode change, the differential oracle;
 //! * [`HeapIndex`] keeps one binary min-heap per criticality level —
-//!   `O(due · log N)` per stop, at most `K` peeks for the active minimum.
+//!   `O(due · log N)` per drain, at most `K` peeks for either minimum.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -20,19 +26,22 @@ use std::collections::BinaryHeap;
 use mcs_model::{CritLevel, McTask, Tick};
 use mcs_obs::{Counter, Phase};
 
-use crate::core::TaskState;
-
 /// Where a run loop finds its due and next active releases.
+/// `releases[slot]` is the slot's next release instant; a slot at or past
+/// the horizon is retired.
 pub(crate) trait ReleaseIndex {
-    /// Put every slot with `next_release ≤ time` (below-mode slots
+    /// Put every slot with `releases[slot] ≤ time` (below-mode slots
     /// included) into `out`, ascending by slot — the order the drain
-    /// visits them in.
-    fn pop_due(&mut self, time: Tick, states: &[TaskState], out: &mut Vec<usize>);
+    /// visits them in. `time` is below the horizon.
+    fn pop_due(&mut self, time: Tick, releases: &[Tick], out: &mut Vec<usize>);
     /// Re-file `slot` after its drain, at its new `next_release`.
     fn reinsert(&mut self, slot: usize, next_release: Tick);
+    /// Earliest pending release below the horizon over all slots: the
+    /// first instant [`ReleaseIndex::pop_due`] has anything to return.
+    fn next_due(&self, releases: &[Tick]) -> Option<Tick>;
     /// Earliest pending release below the horizon over slots whose task
     /// level is ≥ `mode`.
-    fn next_active(&self, mode: CritLevel, states: &[TaskState]) -> Option<Tick>;
+    fn next_active(&self, mode: CritLevel, releases: &[Tick]) -> Option<Tick>;
 }
 
 /// The oracle index: every question is a pass over all slots.
@@ -45,27 +54,42 @@ impl ScanIndex {
     pub(crate) fn new(tasks: &[&McTask], horizon: Tick) -> Self {
         Self { levels: tasks.iter().map(|t| t.level()).collect(), horizon }
     }
+
+    /// The least of `releases`, if it lies below the horizon (a retired
+    /// slot's release is at or past it, so it never hides a pending one).
+    fn pending(&self, least: Tick) -> Option<Tick> {
+        (least < self.horizon).then_some(least)
+    }
 }
 
 impl ReleaseIndex for ScanIndex {
-    fn pop_due(&mut self, time: Tick, states: &[TaskState], out: &mut Vec<usize>) {
+    fn pop_due(&mut self, time: Tick, releases: &[Tick], out: &mut Vec<usize>) {
+        debug_assert!(time < self.horizon, "a drain past the horizon");
+        // Compare-and-count: write every slot, keep it by counting it.
         out.clear();
-        out.extend(
-            (0..states.len()).filter(|&s| {
-                states[s].next_release <= time && states[s].next_release < self.horizon
-            }),
-        );
+        out.resize(releases.len(), 0);
+        let mut kept = 0;
+        for (slot, &release) in releases.iter().enumerate() {
+            out[kept] = slot;
+            kept += usize::from(release <= time);
+        }
+        out.truncate(kept);
     }
 
     fn reinsert(&mut self, _slot: usize, _next_release: Tick) {}
 
-    fn next_active(&self, mode: CritLevel, states: &[TaskState]) -> Option<Tick> {
-        self.levels
+    fn next_due(&self, releases: &[Tick]) -> Option<Tick> {
+        self.pending(releases.iter().copied().fold(Tick::MAX, Tick::min))
+    }
+
+    fn next_active(&self, mode: CritLevel, releases: &[Tick]) -> Option<Tick> {
+        let least = self
+            .levels
             .iter()
-            .zip(states)
-            .filter(|(&level, st)| level >= mode && st.next_release < self.horizon)
-            .map(|(_, st)| st.next_release)
-            .min()
+            .zip(releases)
+            .map(|(&level, &release)| if level >= mode { release } else { Tick::MAX })
+            .fold(Tick::MAX, Tick::min);
+        self.pending(least)
     }
 }
 
@@ -74,7 +98,8 @@ impl ReleaseIndex for ScanIndex {
 /// Every slot with `next_release < horizon` that is not being drained has
 /// exactly one entry, in the heap of its own task's level. A slot's level
 /// never changes, so a mode switch or an idle reset moves nothing: the
-/// active minimum is the least top over the heaps at or above the mode.
+/// active minimum is the least top over the heaps at or above the mode,
+/// and the due minimum the least top over all of them.
 pub(crate) struct HeapIndex {
     heaps: Vec<BinaryHeap<Reverse<(Tick, usize)>>>,
     heap_of: Vec<usize>,
@@ -94,10 +119,15 @@ impl HeapIndex {
         }
         index
     }
+
+    /// The least top over the heaps from level index `from` up.
+    fn least_top(&self, from: usize) -> Option<Tick> {
+        self.heaps.iter().skip(from).filter_map(|h| h.peek().map(|e| e.0 .0)).min()
+    }
 }
 
 impl ReleaseIndex for HeapIndex {
-    fn pop_due(&mut self, time: Tick, _states: &[TaskState], out: &mut Vec<usize>) {
+    fn pop_due(&mut self, time: Tick, _releases: &[Tick], out: &mut Vec<usize>) {
         // Timed by hand: an `mcs_obs::span` guard here measured about a
         // fifth slower on the untimed `perf` simulator set.
         let start = mcs_obs::now_if_timing();
@@ -123,8 +153,12 @@ impl ReleaseIndex for HeapIndex {
         }
     }
 
-    fn next_active(&self, mode: CritLevel, _states: &[TaskState]) -> Option<Tick> {
-        self.heaps.iter().skip(mode.index()).filter_map(|h| h.peek().map(|e| e.0 .0)).min()
+    fn next_due(&self, _releases: &[Tick]) -> Option<Tick> {
+        self.least_top(0)
+    }
+
+    fn next_active(&self, mode: CritLevel, _releases: &[Tick]) -> Option<Tick> {
+        self.least_top(mode.index())
     }
 }
 
@@ -138,6 +172,8 @@ impl Drop for HeapIndex {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use crate::core::{
         ArrivalModel, CoreSim, DegradationPolicy, Overheads, SchedulerKind, SimEngine,
@@ -378,45 +414,97 @@ mod tests {
         assert_eq!(at(&index, 3), None);
     }
 
-    /// Passes a run's index calls through to a [`HeapIndex`], counting the
-    /// drained slots and the reinserts that stay below the horizon.
-    struct Recording {
-        heap: HeapIndex,
+    /// Passes a run's index calls through to another index, counting the
+    /// pops (and those that came back empty), the drained slots, the
+    /// reinserts that stay below the horizon and the `next_active` calls.
+    struct Recording<I> {
+        inner: I,
+        horizon: Tick,
+        pops: u64,
+        empty_pops: u64,
         drained: u64,
         refiled: u64,
+        active_calls: Cell<u64>,
     }
 
-    impl ReleaseIndex for Recording {
-        fn pop_due(&mut self, time: Tick, states: &[TaskState], out: &mut Vec<usize>) {
-            self.heap.pop_due(time, states, out);
+    impl<I: ReleaseIndex> ReleaseIndex for Recording<I> {
+        fn pop_due(&mut self, time: Tick, releases: &[Tick], out: &mut Vec<usize>) {
+            self.inner.pop_due(time, releases, out);
+            self.pops += 1;
+            self.empty_pops += u64::from(out.is_empty());
             self.drained += out.len() as u64;
         }
 
         fn reinsert(&mut self, slot: usize, next_release: Tick) {
-            self.refiled += u64::from(next_release < self.heap.horizon);
-            self.heap.reinsert(slot, next_release);
+            self.refiled += u64::from(next_release < self.horizon);
+            self.inner.reinsert(slot, next_release);
         }
 
-        fn next_active(&self, mode: CritLevel, states: &[TaskState]) -> Option<Tick> {
-            self.heap.next_active(mode, states)
+        fn next_due(&self, releases: &[Tick]) -> Option<Tick> {
+            self.inner.next_due(releases)
+        }
+
+        fn next_active(&self, mode: CritLevel, releases: &[Tick]) -> Option<Tick> {
+            self.active_calls.set(self.active_calls.get() + 1);
+            self.inner.next_active(mode, releases)
         }
     }
 
-    #[test]
-    fn heap_pushes_are_seeds_plus_refiled_drains_and_nothing_at_mode_changes() {
+    const RECORDED_HORIZON: Tick = 4_000;
+
+    /// Run a three-level core that mode-switches, drops and idle-resets
+    /// under worst-case behaviour on `index`, recording its calls.
+    fn recorded_run<I: ReleaseIndex>(
+        index: impl FnOnce(&[&McTask], Tick) -> I,
+    ) -> (Recording<I>, CoreReport, Trace) {
         let lo = task(0, 10, 1, &[3]);
         let mid = task(1, 20, 2, &[2, 5]);
         let hi = task(2, 40, 3, &[2, 4, 9]);
         let tasks = vec![&lo, &mid, &hi];
-        let horizon = 4_000;
         let sim = CoreSim::new(tasks.clone(), SchedulerKind::EdfVd(vd_for(&tasks, 3)));
-        let heap = HeapIndex::new(&tasks, horizon);
-        let mut rec = Recording { heap, drained: 0, refiled: 0 };
-        let report = sim.run_on(&mut rec, &mut LevelCap::new(3), horizon, &mut Trace::disabled());
+        let mut rec = Recording {
+            inner: index(&tasks, RECORDED_HORIZON),
+            horizon: RECORDED_HORIZON,
+            pops: 0,
+            empty_pops: 0,
+            drained: 0,
+            refiled: 0,
+            active_calls: Cell::new(0),
+        };
+        let mut trace = Trace::enabled(1 << 16);
+        let report = sim.run_on(&mut rec, &mut LevelCap::new(3), RECORDED_HORIZON, &mut trace);
         assert!(report.mode_switches > 0 && report.idle_resets > 0, "{report:?}");
+        (rec, report, trace)
+    }
+
+    #[test]
+    fn heap_pushes_are_seeds_plus_refiled_drains_and_nothing_at_mode_changes() {
+        let (rec, ..) = recorded_run(HeapIndex::new);
         assert!(rec.refiled <= rec.drained);
-        assert_eq!(rec.heap.popped, rec.drained);
-        assert_eq!(rec.heap.pushes, tasks.len() as u64 + rec.refiled);
+        assert_eq!(rec.inner.popped, rec.drained);
+        assert_eq!(rec.inner.pushes, 3 + rec.refiled);
+    }
+
+    #[test]
+    fn the_loop_asks_only_at_release_instants_and_mode_changes() {
+        let (scan, scan_report, scan_trace) = recorded_run(ScanIndex::new);
+        let (heap, heap_report, heap_trace) = recorded_run(HeapIndex::new);
+        assert_eq!(scan_report, heap_report);
+        assert_eq!(scan_trace.events(), heap_trace.events());
+        let changes = scan_report.mode_switches + scan_report.idle_resets;
+        for (pops, empty_pops, active_calls) in [
+            (scan.pops, scan.empty_pops, scan.active_calls.get()),
+            (heap.pops, heap.empty_pops, heap.active_calls.get()),
+        ] {
+            // Every pop the loop makes finds a due slot.
+            assert_eq!(empty_pops, 0);
+            // At most one active-release question per drain or mode
+            // change, plus one for the first stop; the run spends time
+            // above level 1, so it asks some.
+            assert!(active_calls > 0);
+            assert!(active_calls <= pops + changes + 1, "{active_calls} > {pops} + {changes} + 1");
+        }
+        assert_eq!((scan.pops, scan.drained), (heap.pops, heap.drained));
     }
 }
 

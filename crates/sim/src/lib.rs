@@ -27,11 +27,13 @@
 //! ## One run loop, two release indexes
 //!
 //! [`CoreSim::run`] is the crate's one per-core run loop. The only thing
-//! it delegates is release bookkeeping — which slots are due at a stop,
-//! and when the next active release is — to a crate-private release index
-//! chosen by [`SimEngine`] (DESIGN.md#simulation-layer):
+//! it delegates is release bookkeeping — when the earliest pending
+//! release is, which slots are due, and when the next active release is —
+//! to a crate-private release index chosen by [`SimEngine`]
+//! (DESIGN.md#simulation-layer). The loop asks only at release instants
+//! and mode changes; a stop with nothing due asks nothing.
 //!
-//! * [`SimEngine::Tick`] scans every task slot at every stop — the
+//! * [`SimEngine::Tick`] answers with a pass over every task slot — the
 //!   default, kept as the *differential oracle*;
 //! * [`SimEngine::Event`] keeps one binary min-heap per criticality level,
 //!   making 10⁶-tick horizons with thousands of tasks cheap (see
@@ -39,7 +41,9 @@
 //!
 //! Their contract is *bit-identical event traces* on shared scenarios —
 //! enforced by a proptest (`index::properties`), the
-//! `sim-event-consistency` audit rule, and the `mcs-exp perf` gate.
+//! `sim-event-consistency` audit rule, and the `mcs-exp perf` gate. Golden
+//! digests of reports and traces (`tests/golden.rs`) pin the loop itself
+//! on both indexes.
 //! [`system::simulate_partition_with`] and [`CoreSim::with_engine`]
 //! select the index; everything else defaults to the oracle.
 

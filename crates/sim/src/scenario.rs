@@ -46,6 +46,7 @@ impl LevelCap {
 }
 
 impl Scenario for LevelCap {
+    #[inline]
     fn demand(&mut self, task: &McTask, _job_index: u64) -> Tick {
         task.wcet(task.level().min(self.cap))
     }

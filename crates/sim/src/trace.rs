@@ -146,6 +146,7 @@ impl Trace {
     /// enabled check. Both engines share this single point, which is what
     /// makes their recorded streams identical whenever their [`Trace`]s
     /// are (DESIGN.md#tick-oracle-differential-contract).
+    #[inline]
     pub fn push(&mut self, event: TraceEvent) {
         use mcs_obs::Counter;
         let (counter, time, a, b, c) = match event {

@@ -5,19 +5,23 @@ mod common;
 use common::{arb_task, arb_task_set};
 use proptest::prelude::*;
 
+use mcs::analysis::exact_arith::{simple_condition_exact, theorem1_feasible_exact};
 use mcs::analysis::{dual_condition, simple_condition, Theorem1, VdAssignment, EPS};
-use mcs::model::{CritLevel, LevelUtils, UtilTable, WithTask};
+use mcs::model::{
+    CritLevel, LevelUtils, McTask, TaskBuilder, TaskId, TaskSet, UtilTable, WithTask,
+};
 
 proptest! {
-    /// Eq. (4) is strictly stronger: whenever it holds, Theorem 1's
-    /// condition k = 1 holds too (the paper's baselines rely on this).
+    /// Eq. (4) is strictly stronger than Theorem 1 in exact arithmetic:
+    /// whenever it holds, Theorem 1 holds too (the paper's baselines rely
+    /// on this). The f64 tests do not keep the implication within an ulp
+    /// of the bound; `f64_eq4_accepts_a_set_exact_eq4_and_f64_theorem1_reject`
+    /// pins a set where it breaks.
     #[test]
     fn eq4_implies_theorem1(ts in arb_task_set(8, 4)) {
-        let table = ts.util_table();
-        if simple_condition(&table) {
-            let a = Theorem1::compute(&table);
-            prop_assert!(a.condition_holds(1), "Eq4 held but condition 1 failed: {a:?}");
-            prop_assert!(a.feasible());
+        let tasks: Vec<&McTask> = ts.tasks().iter().collect();
+        if simple_condition_exact(&tasks, ts.num_levels()) == Some(true) {
+            prop_assert_eq!(theorem1_feasible_exact(&tasks, ts.num_levels()), Some(true));
         }
     }
 
@@ -130,4 +134,32 @@ fn empty_table_edge_cases() {
         assert_eq!(a.core_utilization_slack(), Some(0.0));
         assert!(table.own_level_total().abs() < EPS);
     }
+}
+
+/// The one-core K = 4 set whose own-level utilizations sum to 1 + 10⁻¹²
+/// (period 10¹²): f64 Eq. (4) accepts it within its EPS band, f64
+/// Theorem 1 rounds just past its bound, and exact Eq. (4) rejects it —
+/// so "f64 Eq. (4) ⇒ f64 Theorem 1" does not hold, while the exact
+/// implication `eq4_implies_theorem1` checks is untouched.
+#[test]
+fn f64_eq4_accepts_a_set_exact_eq4_and_f64_theorem1_reject() {
+    const P: u64 = 1_000_000_000_000;
+    let wcets = [77_752_400_679u64, 135_900_389, 150_397_660_469, 771_714_038_464];
+    let tasks = (1u8..=4)
+        .zip(wcets)
+        .map(|(l, c)| {
+            TaskBuilder::new(TaskId(u32::from(l) - 1))
+                .period(P)
+                .level(l)
+                .wcet(&vec![c; usize::from(l)])
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let ts = TaskSet::new(4, tasks).unwrap();
+    let table = ts.util_table();
+    assert!(simple_condition(&table), "f64 Eq. (4) accepts");
+    assert!(!Theorem1::compute(&table).feasible(), "f64 Theorem 1 rejects");
+    let refs: Vec<&McTask> = ts.tasks().iter().collect();
+    assert_eq!(simple_condition_exact(&refs, 4), Some(false), "exact Eq. (4) rejects");
 }
