@@ -778,24 +778,21 @@ mod tests {
             for cores in [1usize, 2, 3, 8, 9, 17] {
                 let (table, bank, oracle) = dealt(&ts, cores);
                 let probe_row = table.row(0);
-                for m in 0..cores {
+                for (m, core) in oracle.iter().enumerate() {
                     let view = bank.view(m);
-                    assert_eq!(view.task_count(), oracle[m].task_count());
-                    assert_verdicts_bit_equal(
-                        &view.evaluate_verdict(),
-                        &oracle[m].evaluate_verdict(),
-                    );
+                    assert_eq!(view.task_count(), core.task_count());
+                    assert_verdicts_bit_equal(&view.evaluate_verdict(), &core.evaluate_verdict());
                     assert_verdicts_bit_equal(
                         &view.probe_verdict(&probe_row),
-                        &oracle[m].probe_verdict(&probe_row),
+                        &core.probe_verdict(&probe_row),
                     );
                     assert_eq!(
                         view.own_level_total_probe(&probe_row).to_bits(),
-                        oracle[m].own_level_total_probe(&probe_row).to_bits()
+                        core.own_level_total_probe(&probe_row).to_bits()
                     );
                     // The full-Probe paths too.
                     let a = view.probe(&probe_row);
-                    let b = oracle[m].probe(&probe_row);
+                    let b = core.probe(&probe_row);
                     assert!(opt_bits(a.core_utilization(), b.core_utilization()));
                     assert_eq!(a.feasible(), b.feasible());
                 }

@@ -120,7 +120,8 @@ mod tests {
 
     #[test]
     fn each_broken_relation_is_reported() {
-        let breaks: [(&str, fn(&mut TelemetryCounters)); 5] = [
+        type Tweak = fn(&mut TelemetryCounters);
+        let breaks: [(&str, Tweak); 5] = [
             ("issuance", |t| t.probes_issued += 1),
             ("placements", |t| t.commits = t.probes_feasible + 1),
             ("alpha", |t| t.alpha_fallbacks = t.placement_attempts + 1),

@@ -19,8 +19,9 @@
 //! * [`audit_cmd`] — invariant-audit sweep over every scheme (`mcs-audit`);
 //! * [`perf`] — probe-path throughput benchmark (reference loops vs the
 //!   incremental `ProbeEngine`), recorded to `BENCH_partition.json`;
-//! * [`simulate`] — runtime-behaviour experiment: both simulator engines
-//!   in lock-step (bit-identity gate) plus weakly-hard (m,k) windows,
+//! * [`simulate`] — runtime-behaviour experiment: one simulator run per
+//!   core with both release indexes answering every question (the
+//!   tick-vs-event identity gate) plus weakly-hard (m,k) windows,
 //!   drop-outage spans, and mode-switch frequency from the traces;
 //! * [`telemetry`] — `--telemetry` sidecar plumbing and the quiescent
 //!   counter-algebra check (`mcs-obs` ↔ `mcs-audit` bridge);

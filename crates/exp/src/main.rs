@@ -674,7 +674,7 @@ fn run_command(cmd: &str, opts: &Options, trace_acc: &mut TraceLog) -> Result<()
             if outcome.errors() > 0 {
                 return Err(format!("audit found {} invariant violation(s)", outcome.errors()));
             }
-            let expected = mcs_obs::compiled().then(|| opts.config.trials as u64);
+            let expected = mcs_obs::compiled().then_some(opts.config.trials as u64);
             let findings = mcs_exp::telemetry::quiescent_check(&delta, expected);
             if findings.is_empty() {
                 eprintln!(

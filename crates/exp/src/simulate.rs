@@ -1,15 +1,18 @@
 //! The `simulate` experiment: runtime behaviour of accepted partitions,
-//! measured on the discrete-event engine with the tick oracle running in
-//! lock-step as a differential check.
+//! with the tick-vs-event differential checked at every release-index
+//! question.
 //!
 //! For each trial we generate a task set, partition it with CA-TPA, and —
 //! when a feasible partition exists — execute it under the worst-case
-//! behaviour of every level `b = 1..=K` through **both** per-core engines
-//! ([`SimEngine::Tick`] and [`SimEngine::Event`]). The runs must produce
-//! bit-identical reports and event traces
+//! behaviour of every level `b = 1..=K`, once per core, with both release
+//! indexes answering every question ([`simulate_partition_checked`]): the
+//! scan oracle's answers drive the run and the per-level heaps must give
+//! the same ones. The run depends only on those answers, so agreement
+//! means a [`mcs_sim::SimEngine::Tick`] and a [`mcs_sim::SimEngine::Event`]
+//! run would produce bit-identical reports and event traces
 //! (`DESIGN.md#tick-oracle-differential-contract`); the command fails hard
-//! otherwise. From the (event-engine) traces we derive the weakly-hard
-//! runtime metrics the schedulability tables cannot show:
+//! otherwise. From the traces we derive the weakly-hard runtime metrics
+//! the schedulability tables cannot show:
 //!
 //! * **worst observed (m,k) window** — the largest number of deadline
 //!   misses any task suffered inside a sliding window of
@@ -28,7 +31,7 @@ use mcs_harness::{JsonValue, RunSession, TrialRecord};
 use mcs_model::Tick;
 use mcs_partition::{Catpa, Partitioner};
 use mcs_sim::{
-    simulate_partition_with, LevelCap, SimConfig, SimEngine, SystemScheduler, WeaklyHardAnalysis,
+    simulate_partition_checked, LevelCap, SimConfig, SystemScheduler, WeaklyHardAnalysis,
 };
 
 use crate::report::{fmt3, Table};
@@ -39,8 +42,8 @@ use crate::report::{fmt3, Table};
 pub const WINDOW_K: u32 = 10;
 
 /// Trace capacity per core. Generous so short-horizon runs never truncate;
-/// both engines truncate identically in any case (same push sequence), so
-/// the differential gate is unaffected by the cap.
+/// the differential gate compares index answers, not traces, so it is
+/// unaffected by the cap.
 const TRACE_CAP: usize = 200_000;
 
 /// What one behaviour level observed in one trial (summed over cores).
@@ -61,7 +64,7 @@ struct LevelObs {
 
 /// Per-trial record: `None` when CA-TPA rejected the set; otherwise one
 /// [`LevelObs`] per behaviour level plus the trial's horizon and whether
-/// every tick-vs-event comparison was bit-identical.
+/// both release indexes agreed at every question.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct SimulateTrial {
     levels: Option<Vec<LevelObs>>,
@@ -132,7 +135,8 @@ pub struct SimulateResult {
     pub trials: usize,
     /// Trials that produced a partition (only those are simulated).
     pub partitioned: usize,
-    /// Whether *every* tick-vs-event comparison was bit-identical.
+    /// Whether both release indexes agreed at *every* question, so that
+    /// the tick and event engines would give bit-identical traces.
     pub identical: bool,
     /// Cores per system (for the switches/kilotick normalisation).
     pub cores: usize,
@@ -272,31 +276,19 @@ pub fn simulate_session(
         let mut identical = true;
         let levels = (1..=params.levels)
             .map(|b| {
-                let run = |engine: SimEngine| {
-                    simulate_partition_with(
-                        &ts,
-                        &partition,
-                        SystemScheduler::EdfVd,
-                        &config,
-                        engine,
-                        |_| LevelCap::new(b),
-                    )
-                    .expect("CA-TPA partitions are feasible on every core")
-                };
-                let (tick_report, tick_traces) = run(SimEngine::Tick);
-                let (event_report, event_traces) = run(SimEngine::Event);
-                identical &= tick_report == event_report
-                    && tick_traces.len() == event_traces.len()
-                    && tick_traces
-                        .iter()
-                        .zip(event_traces.iter())
-                        .all(|(a, b)| a.events() == b.events());
+                let (report, traces, agreed) = simulate_partition_checked(
+                    &ts,
+                    &partition,
+                    SystemScheduler::EdfVd,
+                    &config,
+                    |_| LevelCap::new(b),
+                )
+                .expect("CA-TPA partitions are feasible on every core");
+                identical &= agreed;
 
-                let mut obs = LevelObs {
-                    mode_switches: event_report.total().mode_switches,
-                    ..LevelObs::default()
-                };
-                for trace in &event_traces {
+                let mut obs =
+                    LevelObs { mode_switches: report.total().mode_switches, ..LevelObs::default() };
+                for trace in &traces {
                     let wh = WeaklyHardAnalysis::from_trace(trace, WINDOW_K, h);
                     for stats in wh.per_task.values() {
                         obs.jobs += stats.jobs;

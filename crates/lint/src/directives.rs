@@ -103,7 +103,7 @@ pub fn parse(comments: &[Comment], known_rules: &BTreeSet<&'static str>) -> Dire
         } else if let Some(args) = strip_call(rest, "allow-file") {
             match parse_allow_args(args, known_rules) {
                 Ok((rule, reason)) => {
-                    out.file_allows.push(FileAllow { rule, reason, line: c.line })
+                    out.file_allows.push(FileAllow { rule, reason, line: c.line });
                 }
                 Err(e) => out.malformed.push((c.line, e)),
             }

@@ -85,16 +85,12 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let root =
-        match opts.root.or_else(|| std::env::current_dir().ok().and_then(|cwd| find_root(&cwd))) {
-            Some(r) => r,
-            None => {
-                eprintln!(
-                    "mcs-lint: no [workspace] Cargo.toml above the current directory; use --root"
-                );
-                return ExitCode::from(2);
-            }
-        };
+    let Some(root) =
+        opts.root.or_else(|| std::env::current_dir().ok().and_then(|cwd| find_root(&cwd)))
+    else {
+        eprintln!("mcs-lint: no [workspace] Cargo.toml above the current directory; use --root");
+        return ExitCode::from(2);
+    };
 
     let ws = match Workspace::load(&root, &rules::standard_ids()) {
         Ok(ws) => ws,

@@ -658,7 +658,7 @@ mod tests {
         engine.commit(TaskId(0), 0, engine.probe(0, TaskId(0)).core_utilization().unwrap());
         engine.commit(TaskId(2), 1, engine.probe(1, TaskId(2)).core_utilization().unwrap());
 
-        let mut tables = vec![UtilTable::new(2), UtilTable::new(2), UtilTable::new(2)];
+        let mut tables = [UtilTable::new(2), UtilTable::new(2), UtilTable::new(2)];
         tables[0].add(ts.task(TaskId(0)));
         tables[1].add(ts.task(TaskId(2)));
 

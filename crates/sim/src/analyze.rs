@@ -189,30 +189,35 @@ impl WeaklyHardAnalysis {
     /// with miss windows of width `k` (`k ≥ 1`).
     ///
     /// The trace must not have hit its capacity cap for the numbers to be
-    /// exact (same caveat as [`TraceAnalysis::from_trace`]).
+    /// exact (same caveat as [`TraceAnalysis::from_trace`]). Working memory
+    /// is linear in the trace length plus the largest task id in it (task
+    /// ids are dense in a [`mcs_model::TaskSet`]).
     #[must_use]
     pub fn from_trace(trace: &Trace, k: u32, horizon: Tick) -> Self {
         assert!(k >= 1, "window width must be at least 1");
-        let events = trace.events();
         let mut out = WeaklyHardAnalysis { k, ..Default::default() };
 
-        // Pass 1: which (task, job) pairs missed.
-        let mut missed: std::collections::BTreeSet<(TaskId, u64)> =
-            std::collections::BTreeSet::new();
-        for e in events {
-            if let TraceEvent::DeadlineMiss { task, job, .. } = e {
-                missed.insert((*task, *job));
+        // One pass: per-task released and missed job indices (indexed by
+        // task id, which is dense in a task set), plus outage and
+        // mode-switch accounting.
+        let mut tasks: Vec<JobLog> = Vec::new();
+        let log_of = |tasks: &mut Vec<JobLog>, task: TaskId| -> usize {
+            let i = task.index();
+            if i >= tasks.len() {
+                tasks.resize_with(i + 1, JobLog::default);
             }
-        }
-
-        // Pass 2: per-task miss indicator sequences in release order, plus
-        // outage/mode-switch accounting.
-        let mut seqs: BTreeMap<TaskId, Vec<bool>> = BTreeMap::new();
+            i
+        };
         let mut outage_since: Option<Tick> = None;
-        for e in events {
+        for e in trace.events() {
             match e {
                 TraceEvent::Release { task, job, .. } => {
-                    seqs.entry(*task).or_default().push(missed.contains(&(*task, *job)));
+                    let i = log_of(&mut tasks, *task);
+                    tasks[i].released.push(*job);
+                }
+                TraceEvent::DeadlineMiss { task, job, .. } => {
+                    let i = log_of(&mut tasks, *task);
+                    tasks[i].missed.push(*job);
                 }
                 TraceEvent::ModeSwitch { time, from, .. } => {
                     out.mode_switches += 1;
@@ -232,20 +237,27 @@ impl WeaklyHardAnalysis {
             out.close_outage(horizon.saturating_sub(since));
         }
 
-        // Sliding-window maximum per task.
-        for (task, seq) in seqs {
-            let jobs = seq.len() as u64;
+        // Per task, the miss indicator sequence in release order and its
+        // sliding-window maximum.
+        let mut seq: Vec<bool> = Vec::new();
+        for (id, log) in (0u32..).zip(&mut tasks) {
+            if log.released.is_empty() {
+                continue;
+            }
+            log.missed.sort_unstable();
+            seq.clear();
+            seq.extend(log.released.iter().map(|job| log.missed.binary_search(job).is_ok()));
             let misses = seq.iter().filter(|&&m| m).count() as u64;
             let w = (k as usize).min(seq.len());
-            let mut worst: u32 = 0;
             let mut in_window: u32 = seq[..w].iter().filter(|&&m| m).count() as u32;
-            worst = worst.max(in_window);
+            let mut worst = in_window;
             for j in w..seq.len() {
                 in_window += u32::from(seq[j]);
                 in_window -= u32::from(seq[j - w]);
                 worst = worst.max(in_window);
             }
-            out.per_task.insert(task, WeaklyHardStats { jobs, misses, worst_m: worst });
+            let stats = WeaklyHardStats { jobs: seq.len() as u64, misses, worst_m: worst };
+            out.per_task.insert(TaskId(id), stats);
         }
 
         out.switches_per_kilotick =
@@ -271,6 +283,13 @@ impl WeaklyHardAnalysis {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// One task's job indices in a trace, in trace order.
+#[derive(Default)]
+struct JobLog {
+    released: Vec<u64>,
+    missed: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -485,5 +504,85 @@ mod weakly_hard_tests {
         let lvl = |_t: TaskId| CritLevel::new(1);
         assert_eq!(a.worst_m_below(CritLevel::new(2), lvl), 2);
         assert_eq!(a.worst_m_below(CritLevel::new(1), lvl), 0);
+    }
+}
+
+#[cfg(test)]
+mod weakly_hard_oracle {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// The set-and-map formulation of [`WeaklyHardAnalysis::from_trace`]'s
+    /// per-task statistics: a miss set keyed by `(task, job)`, then one
+    /// miss indicator per release, looked up in that set.
+    fn oracle_per_task(trace: &Trace, k: u32) -> BTreeMap<TaskId, WeaklyHardStats> {
+        let events = trace.events();
+        let mut missed: BTreeSet<(TaskId, u64)> = BTreeSet::new();
+        for e in events {
+            if let TraceEvent::DeadlineMiss { task, job, .. } = e {
+                missed.insert((*task, *job));
+            }
+        }
+        let mut seqs: BTreeMap<TaskId, Vec<bool>> = BTreeMap::new();
+        for e in events {
+            if let TraceEvent::Release { task, job, .. } = e {
+                seqs.entry(*task).or_default().push(missed.contains(&(*task, *job)));
+            }
+        }
+        seqs.into_iter()
+            .map(|(task, seq)| {
+                let w = (k as usize).min(seq.len());
+                let worst = (0..=seq.len() - w)
+                    .map(|j| seq[j..j + w].iter().filter(|&&m| m).count() as u32)
+                    .max()
+                    .unwrap_or(0);
+                let misses = seq.iter().filter(|&&m| m).count() as u64;
+                (task, WeaklyHardStats { jobs: seq.len() as u64, misses, worst_m: worst })
+            })
+            .collect()
+    }
+
+    /// Any event over few tasks and few job indices, so that releases
+    /// repeat, misses precede or lack their release, and outages nest.
+    fn event() -> impl Strategy<Value = TraceEvent> {
+        (0u8..6, 0u64..200, 0u32..6, 0u64..12, 1u8..4).prop_map(|(pick, time, task, job, level)| {
+            let task = TaskId(task);
+            match pick {
+                0 | 1 => TraceEvent::Release { time, task, job, deadline: time + 10 },
+                2 => TraceEvent::DeadlineMiss { time, task, job },
+                3 => TraceEvent::ModeSwitch {
+                    time,
+                    task,
+                    from: CritLevel::new(level),
+                    to: CritLevel::new(level + 1),
+                },
+                4 => TraceEvent::IdleReset { time },
+                _ => TraceEvent::Complete { time, task, job, late: false },
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn per_task_stats_match_the_set_and_map_oracle(
+            events in prop::collection::vec(event(), 0..120),
+            k in 1u32..8,
+            horizon in 0u64..250,
+        ) {
+            let mut trace = Trace::enabled(events.len());
+            for e in &events {
+                trace.push(e.clone());
+            }
+            let a = WeaklyHardAnalysis::from_trace(&trace, k, horizon);
+            prop_assert_eq!(&a.per_task, &oracle_per_task(&trace, k));
+            let switches =
+                events.iter().filter(|e| matches!(e, TraceEvent::ModeSwitch { .. })).count();
+            prop_assert_eq!(a.mode_switches, switches as u64);
+        }
     }
 }

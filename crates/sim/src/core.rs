@@ -13,6 +13,9 @@
 //! [`SimEngine`] picks the index — the scan oracle or the per-level
 //! heaps — and both yield bit-identical traces
 //! (DESIGN.md#tick-oracle-differential-contract).
+//! [`CoreSim::run_checked`] runs the loop once on the oracle while the
+//! heaps answer every question alongside, which checks that contract
+//! without a second run.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -20,7 +23,7 @@ use rand::{Rng, SeedableRng};
 use mcs_analysis::VdAssignment;
 use mcs_model::{CritLevel, McTask, Tick};
 
-use crate::index::{HeapIndex, ReleaseIndex, ScanIndex};
+use crate::index::{CheckedIndex, HeapIndex, ReleaseIndex, ScanIndex};
 use crate::report::{CoreReport, ResponseSlots};
 use crate::scenario::Scenario;
 use crate::trace::{Trace, TraceEvent};
@@ -331,6 +334,31 @@ impl<'a> CoreSim<'a> {
         }
     }
 
+    /// Run the core until `horizon` once, with both release indexes
+    /// answering every question: the scan oracle's answers drive the run,
+    /// and the heaps must give the same ones. Returns the report and
+    /// whether they always did. The run depends on nothing but those
+    /// answers, so agreement means that a [`SimEngine::Tick`] and a
+    /// [`SimEngine::Event`] run would yield this same report and trace
+    /// (DESIGN.md#tick-oracle-differential-contract). The configured
+    /// engine is not used.
+    pub fn run_checked<S: Scenario>(
+        &self,
+        scenario: &mut S,
+        horizon: Tick,
+        trace: &mut Trace,
+    ) -> (CoreReport, bool) {
+        if self.tasks.is_empty() || horizon == 0 {
+            return (CoreReport { max_mode: 1, ..Default::default() }, true);
+        }
+        let mut index = CheckedIndex::new(
+            ScanIndex::new(&self.tasks, horizon),
+            HeapIndex::new(&self.tasks, horizon),
+        );
+        let report = self.run_on(&mut index, scenario, horizon, trace);
+        (report, index.disagreement().is_none())
+    }
+
     /// The run loop, on a given release index.
     ///
     /// The index is consulted only when something can have changed: the
@@ -617,6 +645,7 @@ impl<'a> CoreSim<'a> {
                 });
             }
         }
+        trace.flush_counts();
         report
     }
 }

@@ -286,6 +286,7 @@ impl<'a> GlobalSim<'a> {
                 });
             }
         }
+        trace.flush_counts();
         report
     }
 }

@@ -18,8 +18,14 @@
 //! * [`ScanIndex`] answers with branch-free passes over all slots —
 //!   `O(N)` per drain or mode change, the differential oracle;
 //! * [`HeapIndex`] keeps one binary min-heap per criticality level —
-//!   `O(due · log N)` per drain, at most `K` peeks for either minimum.
+//!   `O(due · log N)` per drain, at most `K` peeks for either minimum;
+//! * [`CheckedIndex`] pairs an oracle with a candidate: the oracle's
+//!   answers drive the loop, the candidate is asked every question too,
+//!   and the first answer on which they differ is kept. One checked run
+//!   is therefore as strict a differential as two runs compared trace
+//!   against trace — the loop depends on nothing but the answers.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -170,6 +176,72 @@ impl Drop for HeapIndex {
     }
 }
 
+/// The question on which a [`CheckedIndex`]'s two indexes first gave
+/// different answers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Disagreement {
+    /// [`ReleaseIndex::pop_due`] at this time returned different slots.
+    PopDue(Tick),
+    /// [`ReleaseIndex::next_due`] answered differently.
+    NextDue,
+    /// [`ReleaseIndex::next_active`] at this mode answered differently.
+    NextActive(CritLevel),
+}
+
+/// Answers every question with `oracle`'s answer, after asking
+/// `candidate` the same question and comparing; every re-file goes to
+/// both. The first disagreement is latched in the index itself.
+pub(crate) struct CheckedIndex<O, C> {
+    oracle: O,
+    candidate: C,
+    /// The candidate's due slots, compared with the oracle's.
+    spare: Vec<usize>,
+    disagreement: Cell<Option<Disagreement>>,
+}
+
+impl<O: ReleaseIndex, C: ReleaseIndex> CheckedIndex<O, C> {
+    pub(crate) fn new(oracle: O, candidate: C) -> Self {
+        Self { oracle, candidate, spare: Vec::new(), disagreement: Cell::new(None) }
+    }
+
+    /// The first question the two indexes answered differently, if any.
+    pub(crate) fn disagreement(&self) -> Option<Disagreement> {
+        self.disagreement.get()
+    }
+
+    fn check(&self, agree: bool, question: Disagreement) {
+        if !agree && self.disagreement.get().is_none() {
+            self.disagreement.set(Some(question));
+        }
+    }
+}
+
+impl<O: ReleaseIndex, C: ReleaseIndex> ReleaseIndex for CheckedIndex<O, C> {
+    fn pop_due(&mut self, time: Tick, releases: &[Tick], out: &mut Vec<usize>) {
+        self.oracle.pop_due(time, releases, out);
+        self.candidate.pop_due(time, releases, &mut self.spare);
+        self.check(*out == self.spare, Disagreement::PopDue(time));
+    }
+
+    fn reinsert(&mut self, slot: usize, next_release: Tick) {
+        self.oracle.reinsert(slot, next_release);
+        self.candidate.reinsert(slot, next_release);
+    }
+
+    fn next_due(&self, releases: &[Tick]) -> Option<Tick> {
+        let answer = self.oracle.next_due(releases);
+        self.check(answer == self.candidate.next_due(releases), Disagreement::NextDue);
+        answer
+    }
+
+    fn next_active(&self, mode: CritLevel, releases: &[Tick]) -> Option<Tick> {
+        let answer = self.oracle.next_active(mode, releases);
+        let agree = answer == self.candidate.next_active(mode, releases);
+        self.check(agree, Disagreement::NextActive(mode));
+        answer
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::cell::Cell;
@@ -300,7 +372,7 @@ mod tests {
 
     #[test]
     fn elastic_degradation_matches_oracle() {
-        let tasks = vec![task(0, 10_000, 1, &[3_000]), task(1, 100_000, 2, &[10_000, 45_000])];
+        let tasks = [task(0, 10_000, 1, &[3_000]), task(1, 100_000, 2, &[10_000, 45_000])];
         let table = UtilTable::from_tasks(2, tasks.iter());
         let analysis = Theorem1::compute(&table);
         let vd = VdAssignment::compute(&table, &analysis).expect("feasible");
@@ -506,6 +578,101 @@ mod tests {
         }
         assert_eq!((scan.pops, scan.drained), (heap.pops, heap.drained));
     }
+
+    /// The heaps, with `next_active` reading every heap — below-mode
+    /// slots included — as if the mode were level 1.
+    struct AllHeapsActive(HeapIndex);
+
+    /// The heaps, with `pop_due` losing the highest due slot whenever
+    /// two or more are due.
+    struct LosesADueSlot(HeapIndex);
+
+    impl ReleaseIndex for AllHeapsActive {
+        fn pop_due(&mut self, time: Tick, releases: &[Tick], out: &mut Vec<usize>) {
+            self.0.pop_due(time, releases, out);
+        }
+
+        fn reinsert(&mut self, slot: usize, next_release: Tick) {
+            self.0.reinsert(slot, next_release);
+        }
+
+        fn next_due(&self, releases: &[Tick]) -> Option<Tick> {
+            self.0.next_due(releases)
+        }
+
+        fn next_active(&self, _mode: CritLevel, _releases: &[Tick]) -> Option<Tick> {
+            self.0.least_top(0)
+        }
+    }
+
+    impl ReleaseIndex for LosesADueSlot {
+        fn pop_due(&mut self, time: Tick, releases: &[Tick], out: &mut Vec<usize>) {
+            self.0.pop_due(time, releases, out);
+            if out.len() > 1 {
+                out.pop();
+            }
+        }
+
+        fn reinsert(&mut self, slot: usize, next_release: Tick) {
+            self.0.reinsert(slot, next_release);
+        }
+
+        fn next_due(&self, releases: &[Tick]) -> Option<Tick> {
+            self.0.next_due(releases)
+        }
+
+        fn next_active(&self, mode: CritLevel, releases: &[Tick]) -> Option<Tick> {
+            self.0.next_active(mode, releases)
+        }
+    }
+
+    #[test]
+    fn checked_index_agrees_when_both_indexes_are_sound() {
+        let (checked, report, trace) = recorded_run(|tasks, horizon| {
+            CheckedIndex::new(ScanIndex::new(tasks, horizon), HeapIndex::new(tasks, horizon))
+        });
+        assert_eq!(checked.inner.disagreement(), None);
+        let (_, scan_report, scan_trace) = recorded_run(ScanIndex::new);
+        assert_eq!(report, scan_report);
+        assert_eq!(trace.events(), scan_trace.events());
+    }
+
+    #[test]
+    fn checked_index_reports_an_active_release_read_below_the_mode() {
+        let (checked, report, trace) = recorded_run(|tasks, horizon| {
+            CheckedIndex::new(
+                ScanIndex::new(tasks, horizon),
+                AllHeapsActive(HeapIndex::new(tasks, horizon)),
+            )
+        });
+        assert!(
+            matches!(checked.inner.disagreement(), Some(Disagreement::NextActive(mode)) if mode > CritLevel::LO),
+            "{:?}",
+            checked.inner.disagreement()
+        );
+        // The oracle drove the run: its report and trace are the scan's.
+        let (_, scan_report, scan_trace) = recorded_run(ScanIndex::new);
+        assert_eq!(report, scan_report);
+        assert_eq!(trace.events(), scan_trace.events());
+        // The faulty index alone only adds stops, so comparing its trace
+        // with the oracle's would not have caught it.
+        let (_, faulty_report, faulty_trace) =
+            recorded_run(|tasks, horizon| AllHeapsActive(HeapIndex::new(tasks, horizon)));
+        assert_eq!(faulty_report, scan_report);
+        assert_eq!(faulty_trace.events(), scan_trace.events());
+    }
+
+    #[test]
+    fn checked_index_reports_a_lost_due_slot() {
+        let (checked, ..) = recorded_run(|tasks, horizon| {
+            CheckedIndex::new(
+                ScanIndex::new(tasks, horizon),
+                LosesADueSlot(HeapIndex::new(tasks, horizon)),
+            )
+        });
+        // All three slots are due at the first stop.
+        assert_eq!(checked.inner.disagreement(), Some(Disagreement::PopDue(0)));
+    }
 }
 
 #[cfg(test)]
@@ -513,6 +680,7 @@ mod properties {
     use crate::core::{
         ArrivalModel, CoreSim, DegradationPolicy, Overheads, SchedulerKind, SimEngine,
     };
+    use crate::report::CoreReport;
     use crate::scenario::{LevelCap, Probabilistic, Scenario};
     use crate::trace::Trace;
     use mcs_model::{CritLevel, McTask, TaskBuilder, TaskId, Tick};
@@ -586,82 +754,132 @@ mod properties {
             .collect()
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+    /// One drawn differential case: a task set and every other input a
+    /// run takes.
+    struct Case {
+        tasks: Vec<McTask>,
+        scheduler_pick: u8,
+        scenario_pick: u8,
+        arrivals: ArrivalModel,
+        overheads: Overheads,
+        seed: u64,
+        horizon: Tick,
+    }
 
-        /// The differential contract: the run loop on the per-level heaps
-        /// is bit-identical to the loop on the scan oracle — same report,
-        /// same trace — across random task sets of up to 16 tasks over up
-        /// to 8 levels (so mode cascades and idle resets from high modes
-        /// reach every heap), schedulers, scenarios, arrival models,
-        /// overheads and degradation policies.
-        #[test]
-        fn event_engine_is_bit_identical_to_tick_oracle(
-            specs in prop::collection::vec(task_spec(), 1..=16),
-            scheduler_pick in 0u8..3,
-            scenario_pick in 0u8..3,
-            sporadic in (any::<bool>(), 0.0f64..1.0, any::<u64>()),
-            cs in 0u64..3,
-            ms in 0u64..5,
-            seed in any::<u64>(),
-            horizon in 1u64..6_000,
-            load in 0.2f64..4.0,
-        ) {
-            let tasks = build(&specs, load);
-            let refs: Vec<&McTask> = tasks.iter().collect();
-            let levels = tasks.iter().map(|t| t.level().get()).max().unwrap();
-            let scheduler = match scheduler_pick {
+    /// Random task sets of up to 16 tasks over up to 8 levels (so mode
+    /// cascades and idle resets from high modes reach every heap), with
+    /// schedulers, scenarios, arrival models, overheads and degradation
+    /// policies.
+    fn case() -> impl Strategy<Value = Case> {
+        (
+            (
+                prop::collection::vec(task_spec(), 1..=16),
+                0u8..3,
+                0u8..3,
+                (any::<bool>(), 0.0f64..1.0, any::<u64>()),
+            ),
+            (0u64..3, 0u64..5, any::<u64>(), 1u64..6_000, 0.2f64..4.0),
+        )
+            .prop_map(
+                |(
+                    (specs, scheduler_pick, scenario_pick, sporadic),
+                    (cs, ms, seed, horizon, load),
+                )| {
+                    Case {
+                        tasks: build(&specs, load),
+                        scheduler_pick,
+                        scenario_pick,
+                        arrivals: match sporadic {
+                            (false, _, _) => ArrivalModel::Periodic,
+                            (true, slack, s) => ArrivalModel::Sporadic { slack, seed: s },
+                        },
+                        overheads: Overheads { context_switch: cs, mode_switch: ms },
+                        seed,
+                        horizon,
+                    }
+                },
+            )
+    }
+
+    impl Case {
+        fn levels(&self) -> u8 {
+            self.tasks.iter().map(|t| t.level().get()).max().unwrap()
+        }
+
+        fn sim(&self) -> CoreSim<'_> {
+            let refs: Vec<&McTask> = self.tasks.iter().collect();
+            let table = mcs_model::UtilTable::from_tasks(self.levels(), refs.iter().copied());
+            let analysis = mcs_analysis::Theorem1::compute(&table);
+            let scheduler = match self.scheduler_pick {
                 0 => SchedulerKind::PlainEdf,
                 1 => SchedulerKind::deadline_monotonic(&refs),
-                _ => {
-                    let table = mcs_model::UtilTable::from_tasks(levels, refs.iter().copied());
-                    let analysis = mcs_analysis::Theorem1::compute(&table);
-                    match mcs_analysis::VdAssignment::compute(&table, &analysis) {
-                        Some(vd) => SchedulerKind::EdfVd(vd),
-                        None => SchedulerKind::PlainEdf, // infeasible subset: fall back
-                    }
-                }
+                _ => match mcs_analysis::VdAssignment::compute(&table, &analysis) {
+                    Some(vd) => SchedulerKind::EdfVd(vd),
+                    None => SchedulerKind::PlainEdf, // infeasible subset: fall back
+                },
             };
-            let arrivals = match sporadic {
-                (false, _, _) => ArrivalModel::Periodic,
-                (true, slack, s) => ArrivalModel::Sporadic { slack, seed: s },
-            };
-            let overheads = Overheads { context_switch: cs, mode_switch: ms };
-            let degradation = if seed % 2 == 0 {
+            let degradation = if self.seed.is_multiple_of(2) {
                 DegradationPolicy::Drop
             } else {
-                let table = mcs_model::UtilTable::from_tasks(levels, refs.iter().copied());
-                let analysis = mcs_analysis::Theorem1::compute(&table);
                 match mcs_analysis::elastic_stretch_factors(&table, &analysis) {
                     Some(factors) => DegradationPolicy::Elastic { factors },
                     None => DegradationPolicy::Drop,
                 }
             };
+            CoreSim::new(refs, scheduler)
+                .with_arrivals(self.arrivals.clone())
+                .with_overheads(self.overheads)
+                .with_degradation(degradation)
+        }
 
-            let run = |engine: SimEngine| {
-                let mut trace = Trace::enabled(1 << 18);
-                let mut scenario = match scenario_pick {
-                    0 => AnyScenario::Cap(LevelCap::new(1 + (seed % u64::from(levels)) as u8)),
-                    1 => AnyScenario::Prob(Probabilistic::new(0.2, levels, seed)),
-                    _ => AnyScenario::Single(crate::scenario::SingleOverrun::new(
-                        TaskId((seed % tasks.len() as u64) as u32),
-                        seed % 4,
-                        levels,
-                    )),
-                };
-                let report = CoreSim::new(refs.clone(), scheduler.clone())
-                    .with_arrivals(arrivals.clone())
-                    .with_overheads(overheads)
-                    .with_degradation(degradation.clone())
-                    .with_engine(engine)
-                    .run(&mut scenario, horizon, &mut trace);
-                (report, trace)
-            };
+        fn scenario(&self) -> AnyScenario {
+            let (seed, levels) = (self.seed, self.levels());
+            match self.scenario_pick {
+                0 => AnyScenario::Cap(LevelCap::new(1 + (seed % u64::from(levels)) as u8)),
+                1 => AnyScenario::Prob(Probabilistic::new(0.2, levels, seed)),
+                _ => AnyScenario::Single(crate::scenario::SingleOverrun::new(
+                    TaskId((seed % self.tasks.len() as u64) as u32),
+                    seed % 4,
+                    levels,
+                )),
+            }
+        }
 
-            let (tick_report, tick_trace) = run(SimEngine::Tick);
-            let (event_report, event_trace) = run(SimEngine::Event);
+        fn run(&self, engine: SimEngine) -> (CoreReport, Trace) {
+            let mut trace = Trace::enabled(1 << 18);
+            let report =
+                self.sim().with_engine(engine).run(&mut self.scenario(), self.horizon, &mut trace);
+            (report, trace)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The differential contract: the run loop on the per-level heaps
+        /// is bit-identical to the loop on the scan oracle — same report,
+        /// same trace.
+        #[test]
+        fn event_engine_is_bit_identical_to_tick_oracle(case in case()) {
+            let (tick_report, tick_trace) = case.run(SimEngine::Tick);
+            let (event_report, event_trace) = case.run(SimEngine::Event);
             prop_assert_eq!(tick_report, event_report);
             prop_assert_eq!(tick_trace.events(), event_trace.events());
+        }
+
+        /// One checked run gives the report and trace of a run on either
+        /// index alone, and reports that the two indexes agreed.
+        #[test]
+        fn checked_run_equals_both_single_index_runs(case in case()) {
+            let mut trace = Trace::enabled(1 << 18);
+            let (report, agreed) =
+                case.sim().run_checked(&mut case.scenario(), case.horizon, &mut trace);
+            prop_assert!(agreed);
+            for engine in [SimEngine::Tick, SimEngine::Event] {
+                let (single_report, single_trace) = case.run(engine);
+                prop_assert_eq!(&report, &single_report);
+                prop_assert_eq!(trace.events(), single_trace.events());
+            }
         }
     }
 }

@@ -46,6 +46,10 @@
 //! on both indexes.
 //! [`system::simulate_partition_with`] and [`CoreSim::with_engine`]
 //! select the index; everything else defaults to the oracle.
+//! [`CoreSim::run_checked`] and [`system::simulate_partition_checked`]
+//! run the loop once with both indexes answering every question — the
+//! oracle's answers drive it — and report whether they always agreed,
+//! which `mcs-exp simulate` uses as its identity gate.
 
 #![forbid(unsafe_code)]
 
@@ -66,7 +70,8 @@ pub use crate::global::GlobalSim;
 pub use report::{CoreReport, SimReport};
 pub use scenario::{BurstOverrun, LevelCap, Probabilistic, Scenario, Scripted, SingleOverrun};
 pub use system::{
-    simulate_partition, simulate_partition_parallel, simulate_partition_parallel_with,
-    simulate_partition_with, SimConfig, SimSetupError, SystemScheduler,
+    simulate_partition, simulate_partition_checked, simulate_partition_parallel,
+    simulate_partition_parallel_with, simulate_partition_with, SimConfig, SimSetupError,
+    SystemScheduler,
 };
 pub use trace::{Trace, TraceEvent};

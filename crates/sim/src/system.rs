@@ -10,7 +10,7 @@ use mcs_analysis::{Theorem1, VdAssignment};
 use mcs_model::{CoreId, McTask, Partition, TaskSet, Tick, UtilTable};
 
 use crate::core::{CoreSim, SchedulerKind, SimEngine};
-use crate::report::SimReport;
+use crate::report::{CoreReport, SimReport};
 use crate::scenario::Scenario;
 use crate::trace::Trace;
 
@@ -112,11 +112,63 @@ pub fn simulate_partition_with<S, F>(
     scheduler: SystemScheduler,
     config: &SimConfig,
     engine: SimEngine,
-    mut make_scenario: F,
+    make_scenario: F,
 ) -> Result<(SimReport, Vec<Trace>), SimSetupError>
 where
     S: Scenario,
     F: FnMut(usize) -> S,
+{
+    simulate_cores(ts, partition, scheduler, config, make_scenario, |sim, s, h, t| {
+        sim.with_engine(engine).run(s, h, t)
+    })
+}
+
+/// [`simulate_partition`] with every core run once by
+/// [`CoreSim::run_checked`]: both release indexes answer every question.
+/// The report and traces are those of the scan oracle, and the flag says
+/// whether the per-level heaps agreed with it at every question on every
+/// core — when it is `true`, [`simulate_partition_with`] returns this same
+/// result on either [`SimEngine`].
+pub fn simulate_partition_checked<S, F>(
+    ts: &TaskSet,
+    partition: &Partition,
+    scheduler: SystemScheduler,
+    config: &SimConfig,
+    make_scenario: F,
+) -> Result<(SimReport, Vec<Trace>, bool), SimSetupError>
+where
+    S: Scenario,
+    F: FnMut(usize) -> S,
+{
+    let mut agreed = true;
+    let (report, traces) = simulate_cores(
+        ts,
+        partition,
+        scheduler,
+        config,
+        make_scenario,
+        |sim, scenario, horizon, trace| {
+            let (report, core_agreed) = sim.run_checked(scenario, horizon, trace);
+            agreed &= core_agreed;
+            report
+        },
+    )?;
+    Ok((report, traces, agreed))
+}
+
+/// Set up and `run` every core in turn, collecting reports and traces.
+fn simulate_cores<S, F, R>(
+    ts: &TaskSet,
+    partition: &Partition,
+    scheduler: SystemScheduler,
+    config: &SimConfig,
+    mut make_scenario: F,
+    mut run: R,
+) -> Result<(SimReport, Vec<Trace>), SimSetupError>
+where
+    S: Scenario,
+    F: FnMut(usize) -> S,
+    R: FnMut(CoreSim<'_>, &mut S, Tick, &mut Trace) -> CoreReport,
 {
     if partition.require_complete(ts).is_err() {
         return Err(SimSetupError::IncompletePartition);
@@ -126,10 +178,10 @@ where
     let mut traces = Vec::with_capacity(partition.num_cores());
 
     for core in CoreId::all(partition.num_cores()) {
-        let (sim, horizon) = core_setup(ts, partition, scheduler, config, engine, core)?;
+        let (sim, horizon) = core_setup(ts, partition, scheduler, config, core)?;
         let mut trace = new_trace(config.trace_cap);
         let mut scenario = make_scenario(core.index());
-        reports.push(sim.run(&mut scenario, horizon, &mut trace));
+        reports.push(run(sim, &mut scenario, horizon, &mut trace));
         traces.push(trace);
     }
     Ok((SimReport { cores: reports }, traces))
@@ -142,7 +194,6 @@ fn core_setup<'a>(
     partition: &Partition,
     scheduler: SystemScheduler,
     config: &SimConfig,
-    engine: SimEngine,
     core: CoreId,
 ) -> Result<(CoreSim<'a>, Tick), SimSetupError> {
     let tasks: Vec<&McTask> = partition.tasks_on(core).map(|id| ts.task(id)).collect();
@@ -158,7 +209,7 @@ fn core_setup<'a>(
         }
     };
     let horizon = config.horizon_for(&tasks);
-    Ok((CoreSim::new(tasks, kind).with_engine(engine), horizon))
+    Ok((CoreSim::new(tasks, kind), horizon))
 }
 
 fn new_trace(cap: usize) -> Trace {
@@ -366,11 +417,11 @@ where
     // Per-core setup happens serially (cheap); only the runs fan out.
     let mut jobs = Vec::with_capacity(partition.num_cores());
     for core in CoreId::all(partition.num_cores()) {
-        let (sim, horizon) = core_setup(ts, partition, scheduler, config, engine, core)?;
-        jobs.push((sim, horizon, make_scenario(core.index())));
+        let (sim, horizon) = core_setup(ts, partition, scheduler, config, core)?;
+        jobs.push((sim.with_engine(engine), horizon, make_scenario(core.index())));
     }
 
-    let results: Vec<(crate::report::CoreReport, Trace)> = crossbeam::thread::scope(|s| {
+    let results: Vec<(CoreReport, Trace)> = crossbeam::thread::scope(|s| {
         let handles: Vec<_> = jobs
             .into_iter()
             .map(|(sim, horizon, mut scenario)| {

@@ -115,12 +115,28 @@ impl fmt::Display for TraceEvent {
     }
 }
 
+/// The counter of each event variant, in [`Trace`]'s tally order.
+const COUNTERS: [mcs_obs::Counter; 6] = {
+    use mcs_obs::Counter;
+    [
+        Counter::SimReleases,
+        Counter::SimCompletions,
+        Counter::SimModeSwitches,
+        Counter::SimDrops,
+        Counter::SimIdleResets,
+        Counter::SimDeadlineMisses,
+    ]
+};
+
 /// A bounded event log. Disabled traces cost one branch per event.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
     enabled: bool,
     cap: usize,
+    /// Events pushed since the last [`Trace::flush_counts`], per
+    /// [`COUNTERS`] entry.
+    tally: [u64; COUNTERS.len()],
 }
 
 impl Trace {
@@ -128,7 +144,7 @@ impl Trace {
     /// excess events are discarded).
     #[must_use]
     pub fn enabled(cap: usize) -> Self {
-        Self { events: Vec::new(), enabled: true, cap }
+        Self { enabled: true, cap, ..Self::default() }
     }
 
     /// A disabled trace (records nothing).
@@ -140,40 +156,50 @@ impl Trace {
     /// Record an event (no-op when disabled or full).
     ///
     /// Every simulator event flows through here whether or not the trace
-    /// is enabled, so this is also the observability bridge: each event
-    /// is one [`mcs_obs::event!`] — its counter bump plus, when the flight
-    /// recorder is on, one structured [`mcs_obs::TraceEvent`] — before the
-    /// enabled check. Both engines share this single point, which is what
-    /// makes their recorded streams identical whenever their [`Trace`]s
-    /// are (DESIGN.md#tick-oracle-differential-contract).
+    /// is enabled, so this is also the observability bridge. Each event
+    /// is tallied here, and the simulator run that pushed it adds the
+    /// tallies to their [`mcs_obs::Counter`]s once, before it returns —
+    /// a register add per event rather than a shared atomic one. When the
+    /// flight recorder is on, each event is also recorded as one
+    /// structured [`mcs_obs::TraceEvent`], before the enabled check. Both
+    /// engines share this single point, which is what makes their
+    /// recorded streams identical whenever their [`Trace`]s are
+    /// (DESIGN.md#tick-oracle-differential-contract).
     #[inline]
     pub fn push(&mut self, event: TraceEvent) {
-        use mcs_obs::Counter;
-        let (counter, time, a, b, c) = match event {
+        let (kind, time, a, b, c) = match event {
             TraceEvent::Release { time, task, job, deadline } => {
-                (Counter::SimReleases, time, task.0 as u64, job, deadline)
+                (0, time, task.0 as u64, job, deadline)
             }
             TraceEvent::Complete { time, task, job, late } => {
-                (Counter::SimCompletions, time, task.0 as u64, job, u64::from(late))
+                (1, time, task.0 as u64, job, u64::from(late))
             }
-            TraceEvent::ModeSwitch { time, task, from, to } => (
-                Counter::SimModeSwitches,
-                time,
-                task.0 as u64,
-                u64::from(from.get()),
-                u64::from(to.get()),
-            ),
-            TraceEvent::Drop { time, task, job } => {
-                (Counter::SimDrops, time, task.0 as u64, job, 0)
+            TraceEvent::ModeSwitch { time, task, from, to } => {
+                (2, time, task.0 as u64, u64::from(from.get()), u64::from(to.get()))
             }
-            TraceEvent::IdleReset { time } => (Counter::SimIdleResets, time, 0, 0, 0),
-            TraceEvent::DeadlineMiss { time, task, job } => {
-                (Counter::SimDeadlineMisses, time, task.0 as u64, job, 0)
-            }
+            TraceEvent::Drop { time, task, job } => (3, time, task.0 as u64, job, 0),
+            TraceEvent::IdleReset { time } => (4, time, 0, 0, 0),
+            TraceEvent::DeadlineMiss { time, task, job } => (5, time, task.0 as u64, job, 0),
         };
-        mcs_obs::event!(counter, time, a, b, c);
+        self.tally[kind] += 1;
+        if mcs_obs::tracing_enabled() {
+            if let Some(recorded) = COUNTERS[kind].kind() {
+                mcs_obs::trace::record(recorded, time, a, b, c);
+            }
+        }
         if self.enabled && self.events.len() < self.cap {
             self.events.push(event);
+        }
+    }
+
+    /// Add the events pushed since the last flush to their counters. The
+    /// simulator runs call this once, just before they return, so a
+    /// counter delta taken around a run covers all of its events.
+    pub(crate) fn flush_counts(&mut self) {
+        for (&counter, n) in COUNTERS.iter().zip(&mut self.tally) {
+            if *n > 0 {
+                mcs_obs::counter!(counter, std::mem::take(n));
+            }
         }
     }
 

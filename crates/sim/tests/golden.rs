@@ -4,8 +4,9 @@
 //! differential cannot see a change to the loop itself. This test pins
 //! the loop's output instead: an FNV-1a hash of every `CoreReport` and of
 //! the full event sequence, per case, recorded once and checked on both
-//! engines. A change that alters any report field, any event, or the
-//! order of either changes a digest.
+//! engines, and for the paper sets on the checked run too. A change that
+//! alters any report field, any event, or the order of either changes a
+//! digest.
 //!
 //! The cases cover the paths the loop has: 16 default-`GenParams` sets
 //! partitioned by CA-TPA at every behaviour level on EDF-VD (mode
@@ -18,9 +19,9 @@ use mcs_gen::{generate_task_set, GenParams};
 use mcs_model::{McTask, TaskBuilder, TaskId, Tick, UtilTable};
 use mcs_partition::{Catpa, Partitioner};
 use mcs_sim::{
-    simulate_partition_with, ArrivalModel, CoreReport, CoreSim, DegradationPolicy, LevelCap,
-    Overheads, Probabilistic, Scenario, SchedulerKind, SimConfig, SimEngine, SystemScheduler,
-    Trace, TraceEvent,
+    simulate_partition_checked, simulate_partition_with, ArrivalModel, CoreReport, CoreSim,
+    DegradationPolicy, LevelCap, Overheads, Probabilistic, Scenario, SchedulerKind, SimConfig,
+    SimEngine, SystemScheduler, Trace, TraceEvent,
 };
 
 const ENGINES: [SimEngine; 2] = [SimEngine::Tick, SimEngine::Event];
@@ -66,9 +67,16 @@ impl Reached {
 
 const TRACE_CAP: usize = 1 << 24;
 
+/// How a test runs a partitioned set: on one engine, or checked.
+#[derive(Clone, Copy, Debug)]
+enum Runner {
+    Engine(SimEngine),
+    Checked,
+}
+
 /// The CA-TPA-partitioned default sets at behaviour level `b`, as the
 /// `soundness` command simulates them (horizon 8 periods).
-fn paper_digest(engine: SimEngine, b: u8, reached: &mut Reached) -> u64 {
+fn paper_digest(runner: Runner, b: u8, reached: &mut Reached) -> u64 {
     let params = GenParams::default();
     let config = SimConfig { horizon_periods: 8, trace_cap: TRACE_CAP, ..Default::default() };
     let mut fnv = Fnv::new();
@@ -77,14 +85,20 @@ fn paper_digest(engine: SimEngine, b: u8, reached: &mut Reached) -> u64 {
         let ts = generate_task_set(&params, seed);
         let Ok(partition) = Catpa::default().partition(&ts, params.cores) else { continue };
         partitioned += 1;
-        let (report, traces) = simulate_partition_with(
-            &ts,
-            &partition,
-            SystemScheduler::EdfVd,
-            &config,
-            engine,
-            |_| LevelCap::new(b),
-        )
+        let scheduler = SystemScheduler::EdfVd;
+        let scenario = |_| LevelCap::new(b);
+        let (report, traces) = match runner {
+            Runner::Engine(engine) => {
+                simulate_partition_with(&ts, &partition, scheduler, &config, engine, scenario)
+            }
+            Runner::Checked => simulate_partition_checked(
+                &ts, &partition, scheduler, &config, scenario,
+            )
+            .map(|(report, traces, agreed)| {
+                assert!(agreed, "the release indexes disagreed");
+                (report, traces)
+            }),
+        }
         .expect("CA-TPA partitions are feasible on every core");
         for (core, trace) in report.cores.iter().zip(&traces) {
             assert!(trace.events().len() < TRACE_CAP, "trace cap reached");
@@ -190,11 +204,12 @@ const HAND_GOLDEN: [(&str, u64); 6] = [
 ];
 
 #[test]
-fn paper_sets_match_golden_digests_on_both_engines() {
-    for engine in ENGINES {
+fn paper_sets_match_golden_digests_on_both_engines_and_the_checked_run() {
+    let runners = ENGINES.map(Runner::Engine);
+    for runner in runners.into_iter().chain([Runner::Checked]) {
         let mut reached = Reached::default();
-        let got: Vec<u64> = (1..=4).map(|b| paper_digest(engine, b, &mut reached)).collect();
-        assert_eq!(got, PAPER_GOLDEN, "{engine:?}: paper-set digests moved");
+        let got: Vec<u64> = (1..=4).map(|b| paper_digest(runner, b, &mut reached)).collect();
+        assert_eq!(got, PAPER_GOLDEN, "{runner:?}: paper-set digests moved");
         assert!(reached.mode_switches > 0 && reached.idle_resets > 0 && reached.dropped > 0);
     }
 }
