@@ -90,12 +90,22 @@ pub struct ProbeEngine {
     min_util: f64,
     /// Reusable output buffer of [`Self::probe_all_cores`].
     probes: Vec<Verdict>,
-    /// Repair search scratch ([`Self::find_repair_move`]): one core's
-    /// resident candidates in search order, the removal bank holding one
-    /// lane per candidate, and the verdict buffers of its swap-stage and
+    /// `stale[m]`: core `m` changed since [`Self::find_repair_move`] last
+    /// built its [`RepairCore`]. Every mutator sets its core's flag and
+    /// [`Self::reset`] sets all of them.
+    stale: Vec<bool>,
+    /// Mutation epoch: bumped by every mutator and by [`Self::reset`], so
+    /// two equal readings bracket an unchanged engine state.
+    epoch: u64,
+    /// Repair search cache, allocated by the first search: per core, the
+    /// candidates in search order and their removal bank.
+    repair_cores: Vec<RepairCore>,
+    /// Relocation memo of the repair search, indexed by task: the epoch
+    /// of the answer and the answer (the lowest feasible core other than
+    /// the task's home, or `None`). Entries of an older epoch are void.
+    reloc_memo: Vec<(u64, Option<usize>)>,
+    /// Verdict buffers of the repair search's swap-stage and
     /// relocation-stage sweeps.
-    repair_cands: Vec<TaskId>,
-    removals: CoreBank,
     swap_verdicts: Vec<Verdict>,
     reloc_verdicts: Vec<Verdict>,
     /// Feasible-core bitmask of the most recent full sweep, maintained
@@ -104,6 +114,22 @@ pub struct ProbeEngine {
     last_sweep_mask: u64,
     /// Telemetry cells, flushed by [`with_scratch`].
     tally: EngineTally,
+}
+
+/// One core's share of the repair search that does not depend on the
+/// stranded task: its residents in search order and the removal bank
+/// holding one lane per candidate ([`CoreBank::fill_removals`]). Valid
+/// while the core's `stale` flag is clear.
+#[derive(Debug, Default)]
+struct RepairCore {
+    cands: Vec<TaskId>,
+    removals: CoreBank,
+}
+
+/// Whether `a` and `b` hold the same task ids with the same multiplicity.
+fn is_permutation(a: &[TaskId], b: &[TaskId]) -> bool {
+    let count = |s: &[TaskId], id: &TaskId| s.iter().filter(|t| *t == id).count();
+    a.len() == b.len() && a.iter().all(|id| count(a, id) == count(b, id))
 }
 
 impl ProbeEngine {
@@ -126,6 +152,18 @@ impl ProbeEngine {
         self.utils.resize(cores, 0.0);
         self.max_util = 0.0;
         self.min_util = 0.0;
+        self.stale.clear();
+        self.stale.resize(cores, true);
+        self.epoch += 1;
+    }
+
+    /// Record that core `m`'s sums changed: its repair cache entry and
+    /// every relocation memo entry are void from here on.
+    // lint: no_alloc
+    #[inline]
+    fn mark(&mut self, m: usize) {
+        self.stale[m] = true;
+        self.epoch += 1;
     }
 
     /// Number of cores of the current run.
@@ -335,14 +373,23 @@ impl ProbeEngine {
     /// `m2 ≠ m`, the lowest-index one being taken. The search only probes:
     /// the caller applies the move.
     ///
-    /// Both stages run on the batch kernel. The swap stage fills the
-    /// removal bank with one lane per candidate of core `m` (core `m`'s
-    /// sums minus that candidate, [`CoreBank::fill_removals`]) and sweeps
-    /// it once with `stuck`'s row — lane for lane the scalar
-    /// [`Self::probe_swap_verdict`]. The relocation stage sweeps all cores
-    /// once per swap-feasible candidate, in order, into a private buffer:
+    /// Both stages run on the batch kernel. The swap stage sweeps core
+    /// `m`'s removal bank, one lane per candidate (core `m`'s sums minus
+    /// that candidate, [`CoreBank::fill_removals`]), once with `stuck`'s
+    /// row — lane for lane the scalar [`Self::probe_swap_verdict`]. The
+    /// relocation stage sweeps all cores once per swap-feasible
+    /// candidate, in order, into a private buffer:
     /// [`Self::last_sweep_mask`] keeps the select sweep's mask. Every
     /// sweep is counted like a [`Self::probe_all_cores`] call.
+    ///
+    /// What does not depend on `stuck` is kept between searches. A core's
+    /// sorted candidates and removal bank are rebuilt only when a mutator
+    /// touched the core since the last search, and a candidate's
+    /// relocation answer is memoized per mutation epoch, so a memo hit
+    /// issues no sweep. Both are sound only while `members` changes
+    /// together with the engine: every list edit must come with the
+    /// mutator call on the same core (debug builds check that each cached
+    /// list is a permutation of `members[m]`).
     // lint: no_alloc
     pub fn find_repair_move(
         &mut self,
@@ -350,42 +397,65 @@ impl ProbeEngine {
         members: &[Vec<TaskId>],
     ) -> Option<(usize, TaskId, usize)> {
         debug_assert_eq!(members.len(), self.num_cores());
+        if self.repair_cores.len() < members.len() {
+            self.repair_cores.resize_with(members.len(), RepairCore::default);
+        }
+        if self.reloc_memo.len() < self.tasks.len() {
+            // Epoch 0 is never current: `reset` has bumped it at least once.
+            self.reloc_memo.resize(self.tasks.len(), (0, None));
+        }
         let stuck = self.tasks.row(stuck.index());
         for (m, residents) in members.iter().enumerate() {
             if residents.is_empty() {
                 continue;
             }
             let tasks = &self.tasks;
-            self.repair_cands.clear();
-            self.repair_cands.extend_from_slice(residents);
-            self.repair_cands.sort_by(|a, b| {
-                tasks
-                    .util_own(a.index())
-                    .partial_cmp(&tasks.util_own(b.index()))
-                    .expect("utilizations are finite")
-            });
-            self.removals.fill_removals(
-                &self.bank,
-                m,
-                self.repair_cands.iter().map(|id| tasks.row(id.index())),
+            let cached = &mut self.repair_cores[m];
+            if self.stale[m] {
+                cached.cands.clear();
+                cached.cands.extend_from_slice(residents);
+                cached.cands.sort_by(|a, b| {
+                    tasks
+                        .util_own(a.index())
+                        .partial_cmp(&tasks.util_own(b.index()))
+                        .expect("utilizations are finite")
+                });
+                cached.removals.fill_removals(
+                    &self.bank,
+                    m,
+                    cached.cands.iter().map(|id| tasks.row(id.index())),
+                );
+                self.stale[m] = false;
+            }
+            debug_assert!(
+                is_permutation(&cached.cands, residents),
+                "core {m}'s member list changed without a ProbeEngine mutation"
             );
-            batch_probe_verdicts(&self.removals, &stuck, &mut self.swap_verdicts);
+            let cached = &self.repair_cores[m];
+            batch_probe_verdicts(&cached.removals, &stuck, &mut self.swap_verdicts);
             self.note_sweep(&self.swap_verdicts);
-            for (&cand, swap) in self.repair_cands.iter().zip(&self.swap_verdicts) {
+            for (&cand, swap) in cached.cands.iter().zip(&self.swap_verdicts) {
                 if !swap.feasible() {
                     continue;
                 }
-                batch_probe_verdicts(
-                    &self.bank,
-                    &tasks.row(cand.index()),
-                    &mut self.reloc_verdicts,
-                );
-                self.note_sweep(&self.reloc_verdicts);
-                let target = self
-                    .reloc_verdicts
-                    .iter()
-                    .enumerate()
-                    .position(|(m2, v)| m2 != m && v.feasible());
+                let (epoch, memo) = self.reloc_memo[cand.index()];
+                let target = if epoch == self.epoch {
+                    memo
+                } else {
+                    batch_probe_verdicts(
+                        &self.bank,
+                        &tasks.row(cand.index()),
+                        &mut self.reloc_verdicts,
+                    );
+                    self.note_sweep(&self.reloc_verdicts);
+                    let target = self
+                        .reloc_verdicts
+                        .iter()
+                        .enumerate()
+                        .position(|(m2, v)| m2 != m && v.feasible());
+                    self.reloc_memo[cand.index()] = (self.epoch, target);
+                    target
+                };
                 if let Some(m2) = target {
                     return Some((m, cand, m2));
                 }
@@ -434,6 +504,7 @@ impl ProbeEngine {
         if mcs_obs::compiled() {
             bump(&self.tally.commits, 1);
         }
+        self.mark(m);
         let row = self.tasks.row(id.index());
         self.bank.add(m, &row);
         let old = self.utils[m];
@@ -448,6 +519,7 @@ impl ProbeEngine {
         if mcs_obs::compiled() {
             bump(&self.tally.untracked, 1);
         }
+        self.mark(m);
         let row = self.tasks.row(id.index());
         self.bank.add(m, &row);
     }
@@ -458,6 +530,7 @@ impl ProbeEngine {
         if mcs_obs::compiled() {
             bump(&self.tally.evictions, 1);
         }
+        self.mark(m);
         let row = self.tasks.row(id.index());
         self.bank.remove(m, &row);
         let old = self.utils[m];
@@ -484,6 +557,7 @@ impl ProbeEngine {
         if mcs_obs::compiled() {
             bump(&self.tally.evictions, 1);
         }
+        self.mark(m);
         let row = self.tasks.row(id.index());
         self.bank.remove(m, &row);
     }
@@ -501,6 +575,7 @@ impl ProbeEngine {
             bump(&self.tally.evictions, 1);
             bump(&self.tally.commits, 1);
         }
+        self.mark(m);
         let minus = self.tasks.row(minus.index());
         let plus = self.tasks.row(plus.index());
         self.bank.swap(m, &minus, &plus);
@@ -524,6 +599,7 @@ impl ProbeEngine {
         if mcs_obs::compiled() {
             bump(&self.tally.evictions, 1);
         }
+        self.mark(m);
         self.bank.clear_core(m);
         for id in survivors {
             let row = self.tasks.row(id.index());
@@ -846,6 +922,83 @@ mod tests {
         assert_eq!(t.rejected.get(), 8 * on);
         assert_eq!(t.issued.get(), t.feasible.get() + t.rejected.get());
         assert_eq!(t.batch_lanes.get(), 16 * on);
+    }
+
+    /// The repair search with no cache and no memo: scalar swap probes per
+    /// sorted candidate, then scalar probes of the other cores in order.
+    fn scalar_repair_move(
+        engine: &ProbeEngine,
+        stuck: TaskId,
+        members: &[Vec<TaskId>],
+    ) -> Option<(usize, TaskId, usize)> {
+        for (m, residents) in members.iter().enumerate() {
+            let mut cands = residents.clone();
+            cands.sort_by(|a, b| engine.util_own(*a).partial_cmp(&engine.util_own(*b)).unwrap());
+            for cand in cands {
+                if !engine.probe_swap_verdict(m, cand, stuck).feasible() {
+                    continue;
+                }
+                let target = (0..engine.num_cores())
+                    .find(|&m2| m2 != m && engine.probe_verdict(m2, cand).feasible());
+                if let Some(m2) = target {
+                    return Some((m, cand, m2));
+                }
+            }
+        }
+        None
+    }
+
+    /// Exact /64 utilizations on two cores: core 0 = {A 0.5, B 0.25},
+    /// core 1 = {C 0.375, D 0.375, E 0.125}; X (0.5) fits on neither, and
+    /// every candidate's relocation fails. Returns the engine, the member
+    /// lists and X.
+    fn stranded_x() -> (ProbeEngine, Vec<Vec<TaskId>>, TaskId) {
+        let ts = TaskSet::new(
+            1,
+            [32u64, 16, 24, 24, 8, 32]
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| task(u32::try_from(i).unwrap(), 64, 1, &[c]))
+                .collect(),
+        )
+        .unwrap();
+        let mut engine = ProbeEngine::new();
+        engine.reset(&ts, 2);
+        let members = vec![vec![TaskId(0), TaskId(1)], vec![TaskId(2), TaskId(3), TaskId(4)]];
+        for (m, residents) in members.iter().enumerate() {
+            for &id in residents {
+                let u = engine.probe(m, id).core_utilization().unwrap();
+                engine.commit(id, m, u);
+            }
+        }
+        (engine, members, TaskId(5))
+    }
+
+    #[test]
+    fn repair_after_a_departure_elsewhere_sees_the_new_state() {
+        let (mut engine, mut members, x) = stranded_x();
+        assert!(!engine.probe_all_cores(x).0.iter().any(Verdict::feasible));
+        assert_eq!(engine.find_repair_move(x, &members), None);
+        assert_eq!(scalar_repair_move(&engine, x, &members), None);
+        // E departs core 1: X still fits nowhere directly, but B (0.25)
+        // now relocates to core 1 and leaves exactly X's room on core 0.
+        // A memo answer from before the departure would reject X again.
+        members[1].retain(|&t| t != TaskId(4));
+        engine.refold_core(1, &members[1]);
+        assert!(!engine.probe_all_cores(x).0.iter().any(Verdict::feasible));
+        let expected = scalar_repair_move(&engine, x, &members);
+        assert_eq!(expected, Some((0, TaskId(1), 1)));
+        assert_eq!(engine.find_repair_move(x, &members), expected);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "member list changed without a ProbeEngine mutation")]
+    fn repair_search_refuses_member_lists_edited_behind_the_engine() {
+        let (mut engine, mut members, x) = stranded_x();
+        assert_eq!(engine.find_repair_move(x, &members), None);
+        members[1].pop();
+        let _ = engine.find_repair_move(x, &members);
     }
 
     #[test]

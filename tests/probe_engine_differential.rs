@@ -482,17 +482,21 @@ proptest! {
     /// The shared batched repair search returns exactly the move (or the
     /// `None`) of the scalar reference loop on churned engine states at
     /// K ∈ {2..8}. Arrivals go first-fit and, when no core fits, ask both
-    /// searches; the found move is then applied so later states hold
-    /// relocated tasks. Departures alternate between the admission
-    /// engine's refold and the clamped eviction CA-TPA+LS uses, so both
-    /// removal paths' bits reach the search.
+    /// searches, then ask both about a second stranded task at the same
+    /// state, so the search's cached per-core banks and relocation memo
+    /// are read back unchanged; the first move found is then applied so
+    /// later states hold relocated tasks. Departures alternate between the
+    /// admission engine's refold and the clamped eviction CA-TPA+LS uses,
+    /// so both removal paths' bits reach the search. One engine serves
+    /// every K, reset each time to another task set and core count.
     #[test]
     fn batched_repair_search_matches_the_scalar_loop(seed in any::<u64>()) {
         use mcs::gen::{generate_trace, TraceOp, TraceParams};
 
         let mut stuck_total = 0usize;
+        let mut engine = ProbeEngine::new();
         for k in 2u8..=8 {
-            let cores = 4usize;
+            let cores = 3 + usize::from(k % 3);
             let params = GenParams::default()
                 .with_n_range(24, 48)
                 .with_cores(cores)
@@ -504,7 +508,6 @@ proptest! {
                 &TraceParams { ops: 160, depart_ratio: 0.25 },
                 seed ^ u64::from(k),
             );
-            let mut engine = ProbeEngine::new();
             engine.reset(&ts, cores);
             let mut members: Vec<Vec<TaskId>> = vec![Vec::new(); cores];
             let mut home: Vec<Option<usize>> = vec![None; ts.len()];
@@ -527,6 +530,17 @@ proptest! {
                         let expected = scalar_repair_move(&engine, id, &members);
                         let found = engine.find_repair_move(id, &members);
                         prop_assert_eq!(found, expected, "{}", &ctx);
+                        let other = (1..ts.len())
+                            .map(|d| TaskId(u32::try_from((id.index() + d) % ts.len()).unwrap()))
+                            .find(|t| {
+                                home[t.index()].is_none()
+                                    && !engine.probe_all_cores(*t).0.iter().any(Verdict::feasible)
+                            });
+                        if let Some(other) = other {
+                            let expected = scalar_repair_move(&engine, other, &members);
+                            let found = engine.find_repair_move(other, &members);
+                            prop_assert_eq!(found, expected, "{} second task {}", &ctx, other);
+                        }
                         let Some((m, cand, m2)) = found else { continue };
                         members[m].retain(|t| *t != cand);
                         engine.refold_core(m, &members[m]);
